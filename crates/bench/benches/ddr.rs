@@ -1,7 +1,7 @@
 //! Memory-subsystem microbenchmarks: the access patterns behind Fig. 4.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use zllm_ddr::{traffic, MemorySystem};
+use zllm_ddr::{traffic, AxiConfig, DdrConfig, MemorySystem};
 use zllm_layout::weight::{fetch_stream, LayoutScheme, WeightFormat};
 
 fn bench_patterns(c: &mut Criterion) {
@@ -22,21 +22,36 @@ fn bench_patterns(c: &mut Criterion) {
     g.finish();
 }
 
-/// The fast-path headline: a 1 GB sequential weight stream priced in
-/// closed form, against the same stream forced down the per-access path.
+/// The fast-path headline: a 1 GiB sequential weight stream priced
+/// through the fast paths on every memory preset, against the KV260
+/// stream forced down the per-access path.
 fn bench_fast_path(c: &mut Criterion) {
     let stream = traffic::sequential(0, 1 << 30);
+    let presets = [
+        ("ddr4_2400_kv260", DdrConfig::ddr4_2400_kv260()),
+        ("lpddr4_2133_ultra96", DdrConfig::lpddr4_2133_ultra96()),
+        ("ddr4_2666_zcu102", DdrConfig::ddr4_2666_zcu102()),
+        ("lpddr5_orin_nano", DdrConfig::lpddr5_orin_nano()),
+        ("lpddr5_6400_embedded", DdrConfig::lpddr5_6400_embedded()),
+    ];
+    let system = |cfg: &DdrConfig| {
+        MemorySystem::new(
+            cfg.clone(),
+            AxiConfig::kv260(),
+            MemorySystem::DEFAULT_LOOKAHEAD,
+        )
+    };
     let mut g = c.benchmark_group("ddr_fast_path");
     g.sample_size(10);
-    g.bench_function("sequential_1GiB_fast", |b| {
+    for (name, cfg) in &presets {
+        g.bench_function(&format!("sequential_1GiB_fast/{name}"), |b| {
+            b.iter(|| black_box(system(cfg).transfer(black_box(&stream))))
+        });
+    }
+    let (name, kv260) = &presets[0];
+    g.bench_function(&format!("sequential_1GiB_per_access/{name}"), |b| {
         b.iter(|| {
-            let mut mem = MemorySystem::kv260();
-            black_box(mem.transfer(black_box(&stream)))
-        })
-    });
-    g.bench_function("sequential_1GiB_per_access", |b| {
-        b.iter(|| {
-            let mut mem = MemorySystem::kv260();
+            let mut mem = system(kv260);
             mem.set_fast_path(false);
             black_box(mem.transfer(black_box(&stream)))
         })

@@ -60,7 +60,8 @@
 //! cargo run -p zllm-bench --bin perf_gate -- --only tiered
 //!                                            # gate one scenario's keys only
 //! cargo run -p zllm-bench --bin perf_gate -- --host-metrics-json out.json
-//!                                            # also write host wall/throughput
+//!                                            # also write per-scenario wall seconds,
+//!                                            # simulated GB and GB per host-second
 //! ```
 //!
 //! Exit codes: 0 = within tolerance, 1 = regression (table printed),
@@ -265,8 +266,8 @@ fn serve_scenario_snapshot() -> (Snapshot, ServeReport) {
 /// Replays the paged saturating scenario twice — paged actual-growth
 /// admission, then worst-case reservation — against the same
 /// decode-heavy trace and tightened budget. Returns the paged engine
-/// snapshot plus both reports.
-fn paged_scenario_snapshot() -> (Snapshot, ServeReport, ServeReport) {
+/// snapshot, both reports and the GB both runs simulated.
+fn paged_scenario_snapshot() -> (Snapshot, ServeReport, ServeReport, f64) {
     let accel = AccelConfig::kv260();
     let model = ModelConfig::tiny_llama_1_1b();
     let trace = generate(&decode_heavy_traffic(
@@ -305,7 +306,9 @@ fn paged_scenario_snapshot() -> (Snapshot, ServeReport, ServeReport) {
     let mut wc = Server::new(accel, &model, wc_cfg).expect("image fits");
     let wc_report = wc.run(&trace);
 
-    (paged.engine().metrics_snapshot(), paged_report, wc_report)
+    let paged_snap = paged.engine().metrics_snapshot();
+    let gb = simulated_gb_of(&paged_snap) + simulated_gb_of(&wc.engine().metrics_snapshot());
+    (paged_snap, paged_report, wc_report, gb)
 }
 
 /// What the tiered scenario measured, for the gates and the snapshot.
@@ -322,6 +325,8 @@ struct TieredOutcome {
     uplift: f64,
     board_tps: f64,
     board_physical_bytes: u64,
+    /// GB simulated over all five runs.
+    simulated_gb: f64,
 }
 
 /// Layer geometry of a model under the gate's accel format:
@@ -365,14 +370,14 @@ fn tiered_scenario() -> TieredOutcome {
     let (max13, total13, non_layer13) = layer_geometry(&m13);
     let (max7, _, _) = layer_geometry(&m7);
 
-    let (_, allres_tps, _, _) = tiered_run(
+    let (allres_snap, allres_tps, _, _) = tiered_run(
         &m13,
         TierConfig::schedule_aware(FlashConfig::nvme_gen3(), total13),
     );
     // One layer short of all-resident: the minimum possible streaming
     // (two layers per token under the pin/stream plan), which the NVMe
     // link must fully hide behind decode.
-    let (_, cover_tps, cover_stall_ns, _) = tiered_run(
+    let (cover_snap, cover_tps, cover_stall_ns, _) = tiered_run(
         &m13,
         TierConfig::schedule_aware(FlashConfig::nvme_gen3(), total13 - max13 / 2),
     );
@@ -381,15 +386,19 @@ fn tiered_scenario() -> TieredOutcome {
         &m7,
         TierConfig::schedule_aware(FlashConfig::emmc_hs400(), thrash_budget),
     );
-    let (_, blind_tps, _, _) = tiered_run(
+    let (blind_snap, blind_tps, _, _) = tiered_run(
         &m7,
         TierConfig::blind_lru(FlashConfig::emmc_hs400(), thrash_budget),
     );
-    let (_, board_tps, _, board_physical_bytes) = tiered_run(
+    let (board_snap, board_tps, _, board_physical_bytes) = tiered_run(
         &m13,
         TierConfig::schedule_aware(FlashConfig::nvme_gen3(), BOARD_BYTES - non_layer13),
     );
 
+    let simulated_gb = [&allres_snap, &cover_snap, &snap, &blind_snap, &board_snap]
+        .into_iter()
+        .map(simulated_gb_of)
+        .sum();
     TieredOutcome {
         snap,
         allres_tps,
@@ -401,6 +410,7 @@ fn tiered_scenario() -> TieredOutcome {
         uplift: aware_tps / blind_tps,
         board_tps,
         board_physical_bytes,
+        simulated_gb,
     }
 }
 
@@ -408,8 +418,9 @@ fn tiered_scenario() -> TieredOutcome {
 /// generation of [`SPEC_TOKENS`] committed tokens through verify
 /// windows at (α, K), then the same positions decoded sequentially on a
 /// fresh twin engine. Returns the speculative engine's snapshot (which
-/// includes the engine's own `spec.*` counters) and the tok/s uplift.
-fn spec_scenario_snapshot() -> (Snapshot, f64) {
+/// includes the engine's own `spec.*` counters), the tok/s uplift and the
+/// GB both engines simulated.
+fn spec_scenario_snapshot() -> (Snapshot, f64, f64) {
     let accel = spec_accel();
     let model = ModelConfig::tiny_llama_1_1b();
     let mut engine = DecodeEngine::new_batched(accel.clone(), &model, SPEC_CTX_CAPACITY, 1)
@@ -447,7 +458,9 @@ fn spec_scenario_snapshot() -> (Snapshot, f64) {
     for c in SPEC_START_CTX..SPEC_START_CTX + SPEC_TOKENS {
         base_wall_ns += base.decode_token(c).wall_ns;
     }
-    (engine.metrics_snapshot(), base_wall_ns / spec_wall_ns)
+    let snap = engine.metrics_snapshot();
+    let gb = simulated_gb_of(&snap) + simulated_gb_of(&base.metrics_snapshot());
+    (snap, base_wall_ns / spec_wall_ns, gb)
 }
 
 /// Prices the compression representative point three ways on the
@@ -456,8 +469,8 @@ fn spec_scenario_snapshot() -> (Snapshot, f64) {
 /// must match the plain engine byte for byte (the compression-off
 /// gate) — and an engine at the entropy-measured stream ratios. Returns
 /// the measured engine's snapshot (which includes its own `comp.*`
-/// counters) and the tok/s uplift.
-fn comp_scenario_snapshot() -> (Snapshot, f64) {
+/// counters), the tok/s uplift and the GB the three engines simulated.
+fn comp_scenario_snapshot() -> (Snapshot, f64, f64) {
     let accel = comp_accel();
     let model = ModelConfig::tiny_llama_1_1b();
     let run = |mut eng: DecodeEngine| {
@@ -498,7 +511,15 @@ fn comp_scenario_snapshot() -> (Snapshot, f64) {
             DecodeEngine::new_compressed(accel, &model, COMP_CTX_CAPACITY, cfg)
                 .expect("TinyLlama-1.1B fits the 4GB device"),
         );
-    (comp_snap, plain_wall / comp_wall)
+    let gb = simulated_gb_of(&plain_snap)
+        + simulated_gb_of(&identity_snap)
+        + simulated_gb_of(&comp_snap);
+    (comp_snap, plain_wall / comp_wall, gb)
+}
+
+/// Simulated DDR traffic of one engine run, in GB.
+fn simulated_gb_of(snap: &Snapshot) -> f64 {
+    snap.counter("decode.bytes").unwrap_or(0) as f64 / 1e9
 }
 
 fn fmt_value(kind: MetricKind, v: Option<f64>) -> String {
@@ -545,7 +566,7 @@ fn main() {
         let host_start = std::time::Instant::now();
         current = scenario_snapshot();
         let host_seconds = host_start.elapsed().as_secs_f64();
-        let simulated_gb = current.counter("decode.bytes").unwrap_or(0) as f64 / 1e9;
+        let simulated_gb = simulated_gb_of(&current);
         let gb_per_host_s = simulated_gb / host_seconds.max(1e-9);
         // Host-side throughput: how fast the simulator itself ran.
         // Reported on stderr (the gated snapshot stays deterministic
@@ -567,7 +588,7 @@ fn main() {
         let batch_start = std::time::Instant::now();
         let (batched, min_amortization) = batched_scenario_snapshot();
         let batch_host_seconds = batch_start.elapsed().as_secs_f64();
-        let batch_simulated_gb = batched.counter("decode.bytes").unwrap_or(0) as f64 / 1e9;
+        let batch_simulated_gb = simulated_gb_of(&batched);
 
         // The amortization property is gated directly, not just as a baseline
         // diff: > MIN_AMORTIZATION or the batched path has lost its purpose.
@@ -608,7 +629,7 @@ fn main() {
         let serve_start = std::time::Instant::now();
         let (serve_snap, serve_report) = serve_scenario_snapshot();
         let serve_host_seconds = serve_start.elapsed().as_secs_f64();
-        let serve_simulated_gb = serve_snap.counter("decode.bytes").unwrap_or(0) as f64 / 1e9;
+        let serve_simulated_gb = simulated_gb_of(&serve_snap);
         eprintln!(
             "perf gate: serve scenario {:.2} tok/s aggregate, {} completed / {} offered, \
              {} rejected, p95 token latency {:.1} ms",
@@ -640,7 +661,7 @@ fn main() {
         serve_stats = Some((serve_host_seconds, serve_simulated_gb, serve_report));
     }
 
-    let mut paged_stats: Option<(f64, f64, ServeReport, ServeReport)> = None;
+    let mut paged_stats: Option<(f64, f64, f64, ServeReport, ServeReport)> = None;
     if selected("paged") {
         eprintln!(
             "perf gate: paged-KV scenario — {PAGED_REQUESTS} decode-heavy requests at \
@@ -648,7 +669,8 @@ fn main() {
              paged vs worst-case admission (deterministic)..."
         );
         let paged_start = std::time::Instant::now();
-        let (paged_snap, paged_report, paged_wc_report) = paged_scenario_snapshot();
+        let (paged_snap, paged_report, paged_wc_report, paged_simulated_gb) =
+            paged_scenario_snapshot();
         let paged_host_seconds = paged_start.elapsed().as_secs_f64();
         let paged_uplift =
             paged_report.concurrent_peak as f64 / (paged_wc_report.concurrent_peak.max(1)) as f64;
@@ -707,6 +729,7 @@ fn main() {
             .insert("paged.admission.uplift".to_owned(), paged_uplift);
         paged_stats = Some((
             paged_host_seconds,
+            paged_simulated_gb,
             paged_uplift,
             paged_report,
             paged_wc_report,
@@ -810,7 +833,7 @@ fn main() {
         tiered_stats = Some((tiered_host_seconds, outcome));
     }
 
-    let mut spec_stats: Option<(f64, f64)> = None;
+    let mut spec_stats: Option<(f64, f64, f64)> = None;
     if selected("spec") {
         eprintln!(
             "perf gate: speculative scenario — {SPEC_TOKENS} committed tokens through verify \
@@ -818,7 +841,7 @@ fn main() {
              same positions decoded sequentially (deterministic)..."
         );
         let spec_start = std::time::Instant::now();
-        let (spec_snap, spec_uplift) = spec_scenario_snapshot();
+        let (spec_snap, spec_uplift, spec_simulated_gb) = spec_scenario_snapshot();
         let spec_host_seconds = spec_start.elapsed().as_secs_f64();
         // The tentpole property is gated directly, not just as a
         // baseline diff: one weight stream amortized across the
@@ -856,10 +879,10 @@ fn main() {
         // The cross-run uplift the gate above enforces, pinned
         // explicitly.
         current.gauges.insert("spec.uplift".to_owned(), spec_uplift);
-        spec_stats = Some((spec_host_seconds, spec_uplift));
+        spec_stats = Some((spec_host_seconds, spec_simulated_gb, spec_uplift));
     }
 
-    let mut comp_stats: Option<(f64, f64)> = None;
+    let mut comp_stats: Option<(f64, f64, f64)> = None;
     if selected("comp") {
         eprintln!(
             "perf gate: compression scenario — {COMP_TOKENS} tokens through the inline DDR \
@@ -867,7 +890,7 @@ fn main() {
              the plain twin, plus the all-identity byte-invisibility check (deterministic)..."
         );
         let comp_start = std::time::Instant::now();
-        let (comp_snap, comp_uplift) = comp_scenario_snapshot();
+        let (comp_snap, comp_uplift, comp_simulated_gb) = comp_scenario_snapshot();
         let comp_host_seconds = comp_start.elapsed().as_secs_f64();
         // The tentpole property is gated directly, not just as a
         // baseline diff: bursts crossing the bus at compressed size
@@ -905,56 +928,74 @@ fn main() {
         // The cross-run uplift the gate above enforces, pinned
         // explicitly.
         current.gauges.insert("comp.uplift".to_owned(), comp_uplift);
-        comp_stats = Some((comp_host_seconds, comp_uplift));
+        comp_stats = Some((comp_host_seconds, comp_simulated_gb, comp_uplift));
     }
 
     // Machine-readable host metrics for CI artifacts. These are wall-clock
     // figures of the *host*, not part of the gated (deterministic) snapshot.
     // `--only` is refused above, so every scenario ran on this path.
     if let Some(path) = &host_metrics_path {
+        let per_host_s = |gb: f64, seconds: f64| gb / seconds.max(1e-9);
         let (host_seconds, simulated_gb) = single_host.expect("single ran");
-        let gb_per_host_s = simulated_gb / host_seconds.max(1e-9);
         let (batch_host_seconds, batch_simulated_gb, min_amortization) =
             batch_stats.expect("batch4 ran");
         let (serve_host_seconds, serve_simulated_gb, serve_report) =
             serve_stats.as_ref().expect("serve ran");
-        let (paged_host_seconds, paged_uplift, paged_report, paged_wc_report) =
+        let (paged_host_seconds, paged_simulated_gb, paged_uplift, paged_report, paged_wc_report) =
             paged_stats.as_ref().expect("paged ran");
         let (tiered_host_seconds, tiered) = tiered_stats.as_ref().expect("tiered ran");
-        let (spec_host_seconds, spec_uplift) = spec_stats.expect("spec ran");
-        let (comp_host_seconds, comp_uplift) = comp_stats.expect("comp ran");
+        let (spec_host_seconds, spec_simulated_gb, spec_uplift) = spec_stats.expect("spec ran");
+        let (comp_host_seconds, comp_simulated_gb, comp_uplift) = comp_stats.expect("comp ran");
         let json = format!(
             "{{\n  \"wall_seconds\": {host_seconds:.6},\n  \
              \"simulated_gb\": {simulated_gb:.6},\n  \
-             \"simulated_gb_per_host_s\": {gb_per_host_s:.6},\n  \
+             \"simulated_gb_per_host_s\": {:.6},\n  \
              \"batch_wall_seconds\": {batch_host_seconds:.6},\n  \
              \"batch_simulated_gb\": {batch_simulated_gb:.6},\n  \
+             \"batch_gb_per_host_s\": {:.6},\n  \
              \"batch_weight_amortization\": {min_amortization:.6},\n  \
              \"serve_wall_seconds\": {serve_host_seconds:.6},\n  \
              \"serve_simulated_gb\": {serve_simulated_gb:.6},\n  \
+             \"serve_gb_per_host_s\": {:.6},\n  \
              \"serve_tokens_per_s\": {:.6},\n  \
              \"serve_completed\": {},\n  \
              \"serve_rejected\": {},\n  \
              \"paged_wall_seconds\": {paged_host_seconds:.6},\n  \
+             \"paged_simulated_gb\": {paged_simulated_gb:.6},\n  \
+             \"paged_gb_per_host_s\": {:.6},\n  \
              \"paged_concurrent_peak\": {},\n  \
              \"paged_worstcase_concurrent_peak\": {},\n  \
              \"paged_uplift\": {paged_uplift:.6},\n  \
              \"tiered_wall_seconds\": {tiered_host_seconds:.6},\n  \
+             \"tiered_simulated_gb\": {:.6},\n  \
+             \"tiered_gb_per_host_s\": {:.6},\n  \
              \"tiered_cover_loss\": {:.6},\n  \
              \"tiered_thrash_uplift\": {:.6},\n  \
              \"tiered_board4g_tokens_per_s\": {:.6},\n  \
              \"spec_wall_seconds\": {spec_host_seconds:.6},\n  \
+             \"spec_simulated_gb\": {spec_simulated_gb:.6},\n  \
+             \"spec_gb_per_host_s\": {:.6},\n  \
              \"spec_uplift\": {spec_uplift:.6},\n  \
              \"comp_wall_seconds\": {comp_host_seconds:.6},\n  \
+             \"comp_simulated_gb\": {comp_simulated_gb:.6},\n  \
+             \"comp_gb_per_host_s\": {:.6},\n  \
              \"comp_uplift\": {comp_uplift:.6}\n}}\n",
+            per_host_s(simulated_gb, host_seconds),
+            per_host_s(batch_simulated_gb, batch_host_seconds),
+            per_host_s(*serve_simulated_gb, *serve_host_seconds),
             serve_report.tokens_per_s,
             serve_report.completed,
             serve_report.rejected_queue_full + serve_report.rejected_infeasible,
+            per_host_s(*paged_simulated_gb, *paged_host_seconds),
             paged_report.concurrent_peak,
             paged_wc_report.concurrent_peak,
+            tiered.simulated_gb,
+            per_host_s(tiered.simulated_gb, *tiered_host_seconds),
             tiered.cover_loss,
             tiered.uplift,
             tiered.board_tps,
+            per_host_s(spec_simulated_gb, spec_host_seconds),
+            per_host_s(comp_simulated_gb, comp_host_seconds),
         );
         std::fs::write(path, json).expect("write host metrics JSON");
         eprintln!("perf gate host: metrics written to {path}");

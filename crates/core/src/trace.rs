@@ -1669,6 +1669,99 @@ mod tests {
         assert_eq!(snap.counters["decode.ragged_cache.misses"], 2);
     }
 
+    /// A model whose weight stream spans several DDR4 refresh epochs
+    /// (7.8 µs, ~150 KB at peak) per token, so engine-level differential
+    /// tests cross refreshes inside every step.
+    fn refresh_spanning_model() -> ModelConfig {
+        ModelConfig {
+            name: "refresh-spanning".to_owned(),
+            n_layers: 4,
+            d_model: 256,
+            d_ff: 768,
+            vocab_size: 1024,
+            ..ModelConfig::test_small()
+        }
+    }
+
+    /// Prices the same steps on two twins of an engine, one with the DDR
+    /// fast paths on and one forced through the per-access path, and
+    /// asserts identical step reports and telemetry snapshots.
+    fn assert_ddr_fast_path_exact(
+        build: impl Fn() -> DecodeEngine,
+        steps: impl Fn(&mut DecodeEngine) -> Vec<BatchTokenReport>,
+    ) {
+        let mut fast = build();
+        let mut slow = build();
+        slow.mem.set_fast_path(false);
+        let reports = steps(&mut fast);
+        assert_eq!(reports, steps(&mut slow));
+        assert_eq!(fast.metrics_snapshot(), slow.metrics_snapshot());
+        let refreshes = fast.mem.stats().refreshes;
+        assert!(
+            refreshes >= 3 * reports.len() as u64,
+            "{refreshes} refreshes over {} steps",
+            reports.len()
+        );
+    }
+
+    #[test]
+    fn ddr_fast_path_is_exact_on_engine_schedules() {
+        let model = refresh_spanning_model();
+        let accel = AccelConfig::kv260();
+        // Paged ragged decode (KV reads and writes plus page-table
+        // lookups and appends) around a chunked prefill.
+        assert_ddr_fast_path_exact(
+            || DecodeEngine::new_paged(accel.clone(), &model, 64, 4, 16).expect("fits"),
+            |e| {
+                vec![
+                    e.prefill_chunked(&[crate::schedule::PrefillChunk {
+                        slot: 2,
+                        start: 0,
+                        len: 20,
+                    }]),
+                    e.decode_token_ragged(&[(0, 5), (1, 17), (2, 20)]),
+                    e.decode_token_ragged(&[(0, 6), (1, 18), (2, 21), (3, 0)]),
+                ]
+            },
+        );
+        // Compressed weight, KV and activation streams.
+        assert_ddr_fast_path_exact(
+            || {
+                DecodeEngine::new_compressed(
+                    accel.clone(),
+                    &model,
+                    64,
+                    zllm_ddr::compress::CompressionConfig::with_ratios(
+                        zllm_ddr::compress::StreamRatio::from_ratio(2.0),
+                        zllm_ddr::compress::StreamRatio::from_ratio(1.2),
+                        zllm_ddr::compress::StreamRatio::from_ratio(1.1),
+                    ),
+                )
+                .expect("fits")
+            },
+            |e| (0..3).map(|c| e.decode_token_batch(8 + c, 1)).collect(),
+        );
+        // Tiered weights: a budget of two layers forces flash staging
+        // writes onto the shared controller between weight reads.
+        let image = ModelImage::build_tiered(&model, accel.format, 64).expect("fits");
+        let layer = (0..model.n_layers)
+            .map(|l| image.layer_weight_bytes(l))
+            .max()
+            .expect("model has layers");
+        assert_ddr_fast_path_exact(
+            || {
+                let flash = zllm_ddr::FlashConfig::emmc_hs400();
+                let tier = TierConfig::schedule_aware(flash, 2 * layer);
+                DecodeEngine::new_tiered(accel.clone(), &model, 64, tier).expect("fits")
+            },
+            |e| {
+                let reports = (0..3).map(|c| e.decode_token_batch(8 + c, 1)).collect();
+                assert!(e.tier_report().expect("tiered engine").flash_bytes > 0);
+                reports
+            },
+        );
+    }
+
     #[test]
     fn paged_engine_prices_page_tables_and_contiguous_stays_pristine() {
         let mut flat =

@@ -11,13 +11,19 @@
 //!   with one outstanding read is latency-bound, a deep datamover is
 //!   bandwidth-bound;
 //! * periodic refresh (tREFI/tRFC) and read↔write bus turnaround.
+//!
+//! [`DdrController::burst`] prices long bursts through two exact fast
+//! paths layered over the per-access model: whole row windows are
+//! replayed from a memo of earlier window outcomes, and steady-state
+//! stretches of row hits advance in closed form. Both are bit-identical
+//! to [`DdrController::access`] called once per column access.
 
 use crate::config::DdrConfig;
 use crate::stats::DdrStats;
 use crate::telemetry::DdrCounters;
 use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Bank {
     open_row: Option<u64>,
     /// Cycle the open row was activated (for tRAS).
@@ -61,17 +67,134 @@ pub struct DdrController {
     /// Address-map geometry derived from `cfg` once at construction, so
     /// the stretch detector does no divisions by recomputed constants.
     geo: Geometry,
-    /// Conservative invariant flag: when `true`, the completion window is
-    /// an arithmetic progression with step `cycles_per_access` ending at
-    /// its back element (`completions[j] == back - (len-1-j)·cpa`). Lets
-    /// the stretch detector skip the per-element arrival scan; any access
-    /// that breaks the progression clears it.
-    uniform_completions: bool,
+    /// Length of the run of trailing completions that form an arithmetic
+    /// progression with step `cycles_per_access`, capped at `lookahead`.
+    /// The completion window is uniform (`completions[j] == back -
+    /// (len-1-j)·cpa`) exactly when this covers the whole deque, which
+    /// lets the stretch detector skip the per-element arrival scan. Every
+    /// completion extends or restarts the run, so uniformity re-arms as
+    /// soon as the deque has turned over.
+    uniform_tail: usize,
+    /// Outcomes of earlier row windows for [`Self::burst`] to replay.
+    memo: WindowMemo,
 }
 
 /// Minimum batchable stretch worth the O(lookahead) precondition check.
 /// Purely a performance threshold — any value keeps results bit-identical.
 const FAST_PATH_MIN_STRETCH: u64 = 8;
+
+/// Slots in the row-window memo (a power of two: the slot is taken from
+/// the top bits of the key hash).
+const MEMO_SLOTS: usize = 16;
+
+/// Keyed windows per payoff evaluation.
+const MEMO_EPOCH: u32 = 64;
+
+/// The memo keeps building keys while at least this share (in quarters)
+/// of an epoch's lookups replayed; below it, key building backs off.
+const MEMO_MIN_HIT_QUARTERS: u32 = 3;
+
+/// Windows skipped after the first unprofitable epoch; each further
+/// unprofitable epoch doubles it, up to [`MEMO_MAX_BACKOFF`].
+const MEMO_MIN_BACKOFF: u64 = 64;
+const MEMO_MAX_BACKOFF: u64 = 1 << 16;
+
+/// A memo of whole-row-window outcomes.
+///
+/// A row window's outcome is a pure function of the controller state
+/// taken relative to `bus_next`, as long as no refresh or turnaround
+/// falls inside it (see [`DdrController::window_key`]). The memo maps
+/// that relative state to the relative outcome. It allocates on the first
+/// recording, never at construction, and watches its own hit count: when
+/// too few lookups replay, it stops building keys for a while.
+#[derive(Debug, Clone, Default)]
+struct WindowMemo {
+    /// Direct-mapped entries (empty until the first recording).
+    slots: Vec<WindowEntry>,
+    /// Scratch buffer for the key of the window being priced.
+    key: Vec<u64>,
+    /// Keyed windows and replayed windows in the current evaluation epoch.
+    lookups: u32,
+    replays: u32,
+    /// Whole windows still to price without building a key.
+    skip: u64,
+    /// Windows to skip after the next unprofitable epoch.
+    backoff: u64,
+    /// Windows priced and windows replayed since construction.
+    #[cfg(test)]
+    windows: u64,
+    #[cfg(test)]
+    replayed: u64,
+}
+
+impl WindowMemo {
+    /// The slot a key maps to.
+    fn slot_of(key: &[u64]) -> usize {
+        let h = key.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        (h >> (64 - MEMO_SLOTS.trailing_zeros())) as usize
+    }
+
+    /// Counts `windows` keyed windows, `replayed` of them replayed, and
+    /// at the end of an epoch backs off key building if too few replayed.
+    fn tally(&mut self, windows: u32, replayed: u32) {
+        self.lookups += windows;
+        self.replays += replayed;
+        if self.lookups >= MEMO_EPOCH {
+            if self.replays * 4 < self.lookups * MEMO_MIN_HIT_QUARTERS {
+                self.backoff = self.backoff.clamp(MEMO_MIN_BACKOFF, MEMO_MAX_BACKOFF);
+                self.skip = self.backoff;
+                self.backoff *= 2;
+            } else {
+                self.backoff = 0;
+            }
+            self.lookups = 0;
+            self.replays = 0;
+        }
+    }
+}
+
+/// One recorded row window: its key and its outcome. Outcome times are
+/// offsets from the window's starting `bus_next` (wrapping, since CAS
+/// issue times can precede it).
+#[derive(Debug, Clone, Default)]
+struct WindowEntry {
+    key: Vec<u64>,
+    /// `bus_next` minus the oldest completion when the window starts.
+    c_min_age: u64,
+    /// Whether the state after the window has the same history part of
+    /// the key (everything but the row statuses) as the state before it,
+    /// so the entry can replay again for the next window after checking
+    /// only that window's row statuses.
+    steady: bool,
+    /// Bus time when the window's last transfer completes.
+    end: u64,
+    row_hits: u64,
+    row_misses: u64,
+    row_conflicts: u64,
+    /// `(bank group, act_at)` of every bank the window activated.
+    bank_acts: Vec<(usize, u64)>,
+    /// The window's activates, oldest first (the last four at most).
+    acts: Vec<u64>,
+    /// Last CAS issue time of every bank group.
+    last_cas: Vec<u64>,
+    /// The whole completion window after the window.
+    completions: Vec<u64>,
+    /// `uniform_tail` after the window.
+    uniform_tail: usize,
+}
+
+/// The key word of one target bank's row status: 0 for a hit, 1 for a
+/// miss, and for a conflict `2 +` the bank's earliest precharge time
+/// (`act_at + tRAS`) clamped to `c_min`, as an offset from `c_min`.
+fn row_status(bank: &Bank, row: u64, c_min: u64, tras: u64) -> u64 {
+    match bank.open_row {
+        Some(r) if r == row => 0,
+        None => 1,
+        Some(_) => 2 + (bank.act_at + tras).max(c_min) - c_min,
+    }
+}
 
 /// Derived address-map constants (see [`DdrConfig::map_address`]).
 #[derive(Debug, Clone, Copy)]
@@ -87,18 +210,55 @@ struct Geometry {
     /// Accesses per row window (`bank_groups × cols_per_bg`): the span a
     /// sequential stream covers before needing fresh activates.
     window: u64,
+    /// `log2` of bytes per access, bank groups, columns per group and
+    /// banks per group when all four are powers of two (every preset),
+    /// so [`Self::locate`] decodes addresses without dividing.
+    shifts: Option<[u32; 4]>,
 }
 
 impl Geometry {
+    /// The row and first bank of the row window containing access index
+    /// `a`; the window's banks are the next `bgc` after it, one per group.
+    fn window_banks(&self, a: u64) -> (u64, usize) {
+        let w = a / self.window;
+        (w / self.bpg, ((w % self.bpg) * self.bgc) as usize)
+    }
+
+    /// `(row, bank, bank group)` of `addr`, exactly as
+    /// [`DdrConfig::map_address`] and [`DdrConfig::bank_group_of`] give
+    /// them.
+    fn locate(&self, cfg: &DdrConfig, addr: u64) -> (u64, usize, usize) {
+        match self.shifts {
+            Some([bpa, bgc, cols, bpg]) => {
+                let access = addr >> bpa;
+                let group = access & ((1 << bgc) - 1);
+                let rest = access >> (bgc + cols);
+                let bank = group + ((rest & ((1 << bpg) - 1)) << bgc);
+                (rest >> bpg, bank as usize, group as usize)
+            }
+            None => {
+                let (row, bank, _col) = cfg.map_address(addr);
+                (row, bank as usize, cfg.bank_group_of(bank) as usize)
+            }
+        }
+    }
+
     fn of(cfg: &DdrConfig) -> Geometry {
+        let bpa = cfg.bytes_per_access();
         let bgc = cfg.bank_groups.max(1) as u64;
         let cols_per_bg = (cfg.accesses_per_row() / bgc).max(1);
+        let bpg = (cfg.banks as u64 / bgc).max(1);
+        let sizes = [bpa, bgc, cols_per_bg, bpg];
         Geometry {
-            bpa: cfg.bytes_per_access(),
+            bpa,
             cpa: cfg.cycles_per_access(),
             bgc,
-            bpg: (cfg.banks as u64 / bgc).max(1),
+            bpg,
             window: bgc * cols_per_bg,
+            shifts: sizes
+                .iter()
+                .all(|d| d.is_power_of_two())
+                .then(|| sizes.map(u64::trailing_zeros)),
         }
     }
 }
@@ -142,14 +302,16 @@ impl DdrController {
             counters,
             fast_path: true,
             geo,
-            uniform_completions: true,
+            uniform_tail: 0,
+            memo: WindowMemo::default(),
         }
     }
 
-    /// Enables or disables the closed-form burst fast path (on by
-    /// default). Disabling forces [`Self::burst`] through the per-access
-    /// reference path; results are bit-identical either way — the toggle
-    /// exists so differential tests can prove exactly that.
+    /// Enables or disables the burst fast paths — row-window replay and
+    /// closed-form stretches (on by default). Disabling forces
+    /// [`Self::burst`] through the per-access reference path; results are
+    /// bit-identical either way — the toggle exists so differential tests
+    /// can prove exactly that.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
     }
@@ -204,7 +366,7 @@ impl DdrController {
             self.counters.refreshes.inc();
         }
 
-        let (row, bank_idx, _col) = cfg.map_address(addr);
+        let (row, bank_idx, group) = self.geo.locate(cfg, addr);
         let tras = cfg.tras as u64;
         let trp = cfg.trp as u64;
         let trcd = cfg.trcd as u64;
@@ -220,7 +382,7 @@ impl DdrController {
             rrd.max(faw)
         };
 
-        let bank = &mut self.banks[bank_idx as usize];
+        let bank = &mut self.banks[bank_idx];
         let cas_ready = match bank.open_row {
             Some(r) if r == row => {
                 self.counters.row_hits.inc();
@@ -264,7 +426,6 @@ impl DdrController {
         // Same-bank-group CAS spacing (tCCD_L). Cross-group spacing
         // (tCCD_S) equals the burst occupancy and is absorbed by the bus
         // accounting below.
-        let group = self.cfg.bank_group_of(bank_idx) as usize;
         let cfg = &self.cfg;
         let cas_at = cas_ready.max(self.last_cas_per_group[group] + cfg.tccd_l as u64);
 
@@ -282,11 +443,15 @@ impl DdrController {
             self.counters.reads.inc();
         }
 
-        self.uniform_completions = self.uniform_completions
-            && self
-                .completions
-                .back()
-                .is_none_or(|&b| data_end == b + self.geo.cpa);
+        self.uniform_tail = if self
+            .completions
+            .back()
+            .is_some_and(|&b| data_end == b + self.geo.cpa)
+        {
+            (self.uniform_tail + 1).min(self.lookahead)
+        } else {
+            1
+        };
         self.completions.push_back(data_end);
         while self.completions.len() > self.lookahead {
             self.completions.pop_front();
@@ -297,34 +462,291 @@ impl DdrController {
     /// Runs a whole burst (consecutive accesses) and returns the completion
     /// cycle of its last beat.
     ///
-    /// Long bursts spend almost all their accesses in an analytically
-    /// predictable steady state — consecutive row hits in already-open
-    /// banks, bus-bound, with no refresh or pacing hazard in sight. When
-    /// [`Self::fast_path`] is enabled (the default) such stretches are
-    /// priced in O(1) closed form; every hazard (row crossing, refresh
-    /// epoch, turnaround, pacing stall, shallow lookahead) falls back to
-    /// the per-access path. The two paths produce **bit-identical** cycle
-    /// counts, statistics and telemetry — see the differential tests and
-    /// the `proptest` suite.
+    /// Long bursts spend almost all their accesses in analytically
+    /// predictable states. When [`Self::fast_path`] is enabled (the
+    /// default), every whole row window of the burst is first looked up
+    /// in a memo of earlier windows keyed by the controller state relative
+    /// to the bus time and replayed in one update on a hit. Windows that miss, and the partial windows at either end
+    /// of the burst, run through the closed-form steady-stretch path,
+    /// which prices runs of row hits in open banks in O(1) and falls back
+    /// to the per-access path at every hazard (row crossing, refresh
+    /// epoch, turnaround, pacing stall, shallow lookahead). All paths
+    /// produce **bit-identical** cycle counts, statistics and telemetry —
+    /// see the differential tests and the `proptest` suite.
     pub fn burst(&mut self, addr: u64, beats: u32, write: bool) -> u64 {
-        let step = self.cfg.bytes_per_access();
+        let step = self.geo.bpa;
         let total = beats as u64;
-        let mut end = self.bus_next;
-        let mut i = 0u64;
-        while i < total {
-            if self.fast_path {
-                let n = self.steady_stretch(addr + i * step, total - i, write);
-                if n > 0 {
-                    self.apply_steady_stretch(addr + i * step, n, write);
-                    end = self.bus_next;
-                    i += n;
-                    continue;
-                }
+        if !self.fast_path {
+            for i in 0..total {
+                self.access(addr + i * step, write);
             }
-            end = self.access(addr + i * step, write);
-            i += 1;
+            return self.bus_next;
         }
-        end
+        let window = self.geo.window;
+        let first = addr / step;
+        let mut i = ((window - first % window) % window).min(total);
+        self.stream(addr, i, write);
+        while total - i >= window {
+            let k = self.row_windows(addr + i * step, first + i, (total - i) / window, write);
+            #[cfg(test)]
+            {
+                self.memo.windows += k;
+            }
+            i += k * window;
+        }
+        self.stream(addr + i * step, total - i, write);
+        self.bus_next
+    }
+
+    /// Prices `n` consecutive accesses from `addr` through the steady
+    /// stretch path, falling back to [`Self::access`] between stretches.
+    fn stream(&mut self, addr: u64, n: u64, write: bool) {
+        let step = self.geo.bpa;
+        let mut i = 0;
+        while i < n {
+            let a = addr + i * step;
+            let k = self.steady_stretch(a, n - i, write);
+            if k > 0 {
+                self.apply_steady_stretch(a, k, write);
+                i += k;
+            } else {
+                self.access(a, write);
+                i += 1;
+            }
+        }
+    }
+
+    /// Prices whole row windows from `addr` (access index `a0`), at most
+    /// `max` of them, and returns how many it priced. A window whose key
+    /// was recorded, and inside which no refresh can fall, is replayed
+    /// from the memo, together with the following windows a steady entry
+    /// covers; any other window is streamed and, if it ran without a
+    /// refresh, recorded.
+    fn row_windows(&mut self, addr: u64, a0: u64, max: u64, write: bool) -> u64 {
+        let window = self.geo.window;
+        if self.memo.skip > 0 {
+            self.memo.skip -= 1;
+        } else if self.window_key(a0, write) {
+            let slot = WindowMemo::slot_of(&self.memo.key);
+            let hit = self
+                .memo
+                .slots
+                .get(slot)
+                .is_some_and(|e| e.key == self.memo.key);
+            if !hit {
+                self.memo.tally(1, 0);
+                self.record_window(slot, addr, a0, write);
+                return 1;
+            }
+            // The refresh check before the window's last access sees a bus
+            // time at most one transfer before the window's end.
+            if self.bus_next + self.memo.slots[slot].end - self.geo.cpa < self.next_refresh {
+                let k = self.replay_windows(slot, a0, max, write);
+                self.memo.tally(k as u32, k as u32);
+                return k;
+            }
+            self.memo.tally(1, 0);
+        }
+        self.stream(addr, window, write);
+        1
+    }
+
+    /// Builds the replay key of the row window starting at access index
+    /// `a0` into `self.memo.key`, or returns `false` when the state cannot
+    /// be keyed: a turnaround is pending, the lookahead window is not yet
+    /// full, or the history is too close to cycle 0 to clamp.
+    ///
+    /// Without refresh or turnaround, a window's accesses read only the
+    /// state this key holds, all relative to the oldest completion
+    /// `c_min` (the first access's arrival):
+    ///
+    /// * the direction (CAS latency);
+    /// * each target bank's row status — hit, miss, or conflict with its
+    ///   `act_at + tRAS` ([`row_status`]);
+    /// * the last four activate times (tRRD, tFAW);
+    /// * each bank group's last CAS time plus tCCD_L;
+    /// * the completion window itself (arrivals), as one marker word when
+    ///   it is uniform.
+    ///
+    /// Every comparison inside the window is a `max` against a time no
+    /// earlier than `c_min`, since each access arrives no earlier than the
+    /// oldest completion. A history time that is at most `c_min` after its
+    /// pacing offset therefore cannot bind, and it is clamped to `c_min`;
+    /// that makes the key repeat from window to window of a steady stream.
+    fn window_key(&mut self, a0: u64, write: bool) -> bool {
+        let l = self.lookahead;
+        if self.last_write != Some(write) || self.completions.len() != l {
+            return false;
+        }
+        let cfg = &self.cfg;
+        let c_min = self.completions[0];
+        let act_span = (cfg.trrd.max(cfg.tfaw)) as u64;
+        // A missing activate (fewer than four so far) never binds; an
+        // entry clamped to `c_min - act_span` is equivalent only if that
+        // floor is a real time.
+        if c_min < act_span {
+            return false;
+        }
+        let act_floor = c_min - act_span;
+        let tras = cfg.tras as u64;
+        let tccd_l = cfg.tccd_l as u64;
+        let (row, first_bank) = self.geo.window_banks(a0);
+        let bus0 = self.bus_next;
+        let key = &mut self.memo.key;
+        key.clear();
+        key.push(write as u64);
+        key.extend(
+            self.banks[first_bank..first_bank + self.geo.bgc as usize]
+                .iter()
+                .map(|b| row_status(b, row, c_min, tras)),
+        );
+        key.extend(std::iter::repeat_n(0, 4 - self.recent_acts.len()));
+        key.extend(
+            self.recent_acts
+                .iter()
+                .map(|&t| t.max(act_floor) - act_floor),
+        );
+        key.extend(
+            self.last_cas_per_group
+                .iter()
+                .map(|&t| (t + tccd_l).max(c_min) - c_min),
+        );
+        if self.uniform_tail >= l {
+            key.push(u64::MAX);
+        } else {
+            key.extend(self.completions.iter().map(|&c| bus0 - c));
+        }
+        true
+    }
+
+    /// Streams the window keyed in `self.memo.key` and, if no refresh
+    /// fell inside it, records its outcome in `slot`.
+    fn record_window(&mut self, slot: usize, addr: u64, a0: u64, write: bool) {
+        let bus0 = self.bus_next;
+        let c_min_age = bus0 - self.completions[0];
+        let c = &self.counters;
+        let before = (
+            c.row_hits.get(),
+            c.row_misses.get(),
+            c.row_conflicts.get(),
+            c.refreshes.get(),
+        );
+        self.stream(addr, self.geo.window, write);
+        let c = &self.counters;
+        if c.refreshes.get() != before.3 {
+            return;
+        }
+        let memo = &mut self.memo;
+        if memo.slots.is_empty() {
+            memo.slots.resize_with(MEMO_SLOTS, WindowEntry::default);
+        }
+        let e = &mut memo.slots[slot];
+        e.key.clone_from(&memo.key);
+        e.c_min_age = c_min_age;
+        e.end = self.bus_next - bus0;
+        e.row_hits = c.row_hits.get() - before.0;
+        e.row_misses = c.row_misses.get() - before.1;
+        e.row_conflicts = c.row_conflicts.get() - before.2;
+        let (_, first_bank) = self.geo.window_banks(a0);
+        e.bank_acts.clear();
+        e.bank_acts.extend(
+            (0..self.geo.bgc as usize)
+                .filter(|&g| memo.key[1 + g] != 0)
+                .map(|g| (g, self.banks[first_bank + g].act_at.wrapping_sub(bus0))),
+        );
+        let acts = (e.row_misses + e.row_conflicts).min(4) as usize;
+        e.acts.clear();
+        e.acts.extend(
+            self.recent_acts
+                .range(self.recent_acts.len() - acts..)
+                .map(|&t| t.wrapping_sub(bus0)),
+        );
+        e.last_cas.clear();
+        e.last_cas.extend(
+            self.last_cas_per_group
+                .iter()
+                .map(|&t| t.wrapping_sub(bus0)),
+        );
+        e.completions.clear();
+        e.completions
+            .extend(self.completions.iter().map(|&t| t.wrapping_sub(bus0)));
+        e.uniform_tail = self.uniform_tail;
+        // Steady when the next window's key differs from this one at most
+        // in its row statuses.
+        let statuses = 1 + self.geo.bgc as usize;
+        let steady = self.window_key(a0 + self.geo.window, write) && {
+            let e = &self.memo.slots[slot];
+            self.memo.key[statuses..] == e.key[statuses..]
+        };
+        self.memo.slots[slot].steady = steady;
+    }
+
+    /// Replays the entry in `slot` over the row window starting at access
+    /// index `a0` and, while the entry is steady, over up to `max - 1`
+    /// following windows whose row statuses match its key and that end
+    /// before the next refresh. Returns the number of windows replayed
+    /// and leaves exactly the state the per-access path would.
+    fn replay_windows(&mut self, slot: usize, a0: u64, max: u64, write: bool) -> u64 {
+        let e = &self.memo.slots[slot];
+        let geo = self.geo;
+        let tras = self.cfg.tras as u64;
+        let statuses = &e.key[1..1 + geo.bgc as usize];
+        let mut bus0 = self.bus_next;
+        let mut w = a0;
+        let mut k = 0;
+        loop {
+            let (row, first_bank) = geo.window_banks(w);
+            for &(g, act_at) in &e.bank_acts {
+                let bank = &mut self.banks[first_bank + g];
+                bank.open_row = Some(row);
+                bank.act_at = bus0.wrapping_add(act_at);
+            }
+            k += 1;
+            if !e.steady || k == max {
+                break;
+            }
+            // Chain into the next window only if its key equals this
+            // entry's: the history part holds by steadiness, so compare
+            // the row statuses, then check the refresh headroom.
+            let next = bus0 + e.end;
+            let c_min = next - e.c_min_age;
+            w += geo.window;
+            let (row, first_bank) = geo.window_banks(w);
+            let same = self.banks[first_bank..first_bank + geo.bgc as usize]
+                .iter()
+                .zip(statuses)
+                .all(|(b, &s)| row_status(b, row, c_min, tras) == s);
+            if !same || next + e.end - geo.cpa >= self.next_refresh {
+                break;
+            }
+            bus0 = next;
+        }
+        // History state after the last window; activates can reach back
+        // up to four windows when each window issues fewer than four.
+        for j in k.saturating_sub(4)..k {
+            let base = bus0 - (k - 1 - j) * e.end;
+            replace_tail(&mut self.recent_acts, 4, &e.acts, base);
+        }
+        for (cas, &t) in self.last_cas_per_group.iter_mut().zip(&e.last_cas) {
+            *cas = bus0.wrapping_add(t);
+        }
+        replace_tail(&mut self.completions, self.lookahead, &e.completions, bus0);
+        self.uniform_tail = e.uniform_tail;
+        self.bus_next = bus0 + e.end;
+        let c = &self.counters;
+        c.row_hits.add(k * e.row_hits);
+        c.row_misses.add(k * e.row_misses);
+        c.row_conflicts.add(k * e.row_conflicts);
+        if write {
+            c.writes.add(k * geo.window);
+        } else {
+            c.reads.add(k * geo.window);
+        }
+        #[cfg(test)]
+        {
+            self.memo.replayed += k;
+        }
+        k
     }
 
     /// Length of the steady-state stretch starting at `addr` that can be
@@ -399,7 +821,7 @@ impl DdrController {
         // Steady-state shortcut: when the pre-existing window is already a
         // full arithmetic progression ending at the current bus time, the
         // per-element arrival check reduces to the tail inequality above.
-        if self.uniform_completions && m == l && self.completions.back() == Some(&bus0) {
+        if self.uniform_tail == self.lookahead && m == l && self.completions.back() == Some(&bus0) {
             let mut bg = a0 % bgc;
             for i in 0..n.min(bgc) {
                 if self.last_cas_per_group[bg as usize] + tccd_l + lat > bus0 + i * cpa {
@@ -483,12 +905,13 @@ impl DdrController {
             self.completions.clear();
             let first = bus0 + (n - l + 1) * cpa;
             self.completions.extend((0..l).map(|j| first + j * cpa));
-            self.uniform_completions = true;
+            self.uniform_tail = self.lookahead;
         } else {
-            self.uniform_completions = self
-                .completions
-                .back()
-                .is_none_or(|&b| self.uniform_completions && b == bus0);
+            self.uniform_tail = if self.completions.back() == Some(&bus0) {
+                (self.uniform_tail + n as usize).min(self.lookahead)
+            } else {
+                n as usize
+            };
             self.completions
                 .extend((0..n).map(|i| bus0 + (i + 1) * cpa));
             while self.completions.len() > self.lookahead {
@@ -498,12 +921,51 @@ impl DdrController {
     }
 }
 
+/// Appends `bus0 + t` for each offset `t` to `deque`, keeping its last
+/// `cap` elements.
+fn replace_tail(deque: &mut VecDeque<u64>, cap: usize, offsets: &[u64], bus0: u64) {
+    if offsets.len() >= cap {
+        deque.clear();
+    } else {
+        let keep = cap - offsets.len();
+        if deque.len() > keep {
+            deque.drain(..deque.len() - keep);
+        }
+    }
+    deque.extend(offsets.iter().map(|&t| bus0.wrapping_add(t)));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ctrl(lookahead: usize) -> DdrController {
         DdrController::new(DdrConfig::ddr4_2400_kv260(), lookahead)
+    }
+
+    #[test]
+    fn shift_decode_matches_the_address_map() {
+        let odd = DdrConfig {
+            banks: 12,
+            bank_groups: 3,
+            ..DdrConfig::ddr4_2400_kv260()
+        };
+        assert!(Geometry::of(&odd).shifts.is_none());
+        let mut x = 0x243f_6a88_85a3_08d3u64;
+        for cfg in presets().into_iter().chain([odd]) {
+            let geo = Geometry::of(&cfg);
+            for _ in 0..4096 {
+                let addr = xorshift(&mut x) % (1 << 34);
+                let (row, bank, _col) = cfg.map_address(addr);
+                let group = cfg.bank_group_of(bank) as usize;
+                assert_eq!(
+                    geo.locate(&cfg, addr),
+                    (row, bank as usize, group),
+                    "{addr:#x}"
+                );
+            }
+        }
+        assert!(presets().iter().all(|c| Geometry::of(c).shifts.is_some()));
     }
 
     #[test]
@@ -637,10 +1099,43 @@ mod tests {
         assert_eq!(end_a, end_b);
     }
 
+    /// Everything the timing model reads: the fast paths must leave
+    /// exactly the state the per-access path does, not merely the same
+    /// completion times (a stale pacing time can bind much later).
+    #[allow(clippy::type_complexity)]
+    fn model_state(
+        c: &DdrController,
+    ) -> (
+        &[Bank],
+        u64,
+        Option<bool>,
+        &VecDeque<u64>,
+        &[u64],
+        u64,
+        &VecDeque<u64>,
+        usize,
+    ) {
+        (
+            &c.banks,
+            c.bus_next,
+            c.last_write,
+            &c.recent_acts,
+            &c.last_cas_per_group,
+            c.next_refresh,
+            &c.completions,
+            c.uniform_tail,
+        )
+    }
+
     /// Replays `(addr, beats, write)` bursts through a fast-path and a
-    /// per-access controller and asserts bit-identical completion cycles
-    /// and statistics at every burst boundary.
-    fn assert_fast_matches_slow(cfg: DdrConfig, lookahead: usize, bursts: &[(u64, u32, bool)]) {
+    /// per-access controller, asserts bit-identical completion cycles,
+    /// statistics and model state at every burst boundary, and returns
+    /// the fast-path controller.
+    fn assert_fast_matches_slow(
+        cfg: DdrConfig,
+        lookahead: usize,
+        bursts: &[(u64, u32, bool)],
+    ) -> DdrController {
         let mut fast = DdrController::new(cfg.clone(), lookahead);
         let mut slow = DdrController::new(cfg, lookahead);
         slow.set_fast_path(false);
@@ -651,7 +1146,13 @@ mod tests {
             assert_eq!(ef, es, "burst {i} completion diverged");
             assert_eq!(fast.now(), slow.now(), "burst {i} bus time diverged");
             assert_eq!(fast.stats(), slow.stats(), "burst {i} stats diverged");
+            assert_eq!(
+                model_state(&fast),
+                model_state(&slow),
+                "burst {i} state diverged"
+            );
         }
+        fast
     }
 
     #[test]
@@ -702,17 +1203,186 @@ mod tests {
 
     #[test]
     fn fast_path_exact_on_alternative_memories() {
-        for cfg in [
-            DdrConfig::lpddr4_2133_ultra96(),
-            DdrConfig::ddr4_2666_zcu102(),
-            DdrConfig::lpddr5_orin_nano(),
-        ] {
+        for cfg in presets() {
             assert_fast_matches_slow(
                 cfg,
                 32,
                 &[(0, 8192, false), (1 << 24, 1024, true), (128, 8192, false)],
             );
         }
+    }
+
+    /// Every memory preset the simulator ships.
+    fn presets() -> [DdrConfig; 5] {
+        [
+            DdrConfig::ddr4_2400_kv260(),
+            DdrConfig::lpddr4_2133_ultra96(),
+            DdrConfig::ddr4_2666_zcu102(),
+            DdrConfig::lpddr5_orin_nano(),
+            DdrConfig::lpddr5_6400_embedded(),
+        ]
+    }
+
+    /// Accesses that span `epochs` refresh intervals at bus rate.
+    fn refresh_span(cfg: &DdrConfig, epochs: u64) -> u32 {
+        (epochs * cfg.trefi as u64 / cfg.cycles_per_access()) as u32
+    }
+
+    #[test]
+    fn fast_path_exact_at_every_window_offset_on_every_preset() {
+        // Bursts that start on a row-window boundary, one access off it
+        // and mid-window, long enough to hold several whole windows with
+        // partial windows at both ends.
+        for cfg in presets() {
+            let bpa = cfg.bytes_per_access();
+            let window = Geometry::of(&cfg).window;
+            for lookahead in [1usize, 2, 8, 32, 64] {
+                let mut bursts = Vec::new();
+                for offset in [0, 1, window / 2] {
+                    let base = (offset + 3 * window) * bpa;
+                    bursts.push((base, (5 * window + 3) as u32, false));
+                    bursts.push((base + (1 << 24), (2 * window) as u32, false));
+                    bursts.push((base + window * bpa, (window + 1) as u32, false));
+                }
+                assert_fast_matches_slow(cfg.clone(), lookahead, &bursts);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_exact_across_refresh_epochs_on_every_preset() {
+        for cfg in presets() {
+            let beats = refresh_span(&cfg, 4);
+            let bpa = cfg.bytes_per_access();
+            for lookahead in [1usize, 2, 8, 32, 64] {
+                let bursts = [(0, beats, false), (beats as u64 * bpa + bpa, beats, false)];
+                let c = assert_fast_matches_slow(cfg.clone(), lookahead, &bursts);
+                assert!(c.stats().refreshes >= 6, "{lookahead}: {:?}", c.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_exact_on_alternating_reads_and_writes_on_every_preset() {
+        for cfg in presets() {
+            let bpa = cfg.bytes_per_access();
+            let window = Geometry::of(&cfg).window;
+            let beats = (3 * window + window / 2) as u32;
+            for lookahead in [1usize, 2, 8, 32, 64] {
+                let mut bursts = Vec::new();
+                for i in 0..24u64 {
+                    let addr = i * (4 * window + 1) * bpa;
+                    bursts.push((addr, beats, i % 2 == 1));
+                    bursts.push(((1 << 28) + addr, beats / 3, i % 3 == 0));
+                }
+                assert_fast_matches_slow(cfg.clone(), lookahead, &bursts);
+            }
+        }
+    }
+
+    #[test]
+    fn window_replay_covers_most_of_a_sequential_stream() {
+        // The window memo must actually engage: most whole row windows of
+        // a 64 MiB sequential read stream are replayed, not streamed.
+        for cfg in presets() {
+            let beats = ((64u64 << 20) / cfg.bytes_per_access()) as u32;
+            let mut c = DdrController::new(cfg.clone(), 32);
+            c.burst(0, beats, false);
+            let (windows, replayed) = (c.memo.windows, c.memo.replayed);
+            assert_eq!(windows, beats as u64 / c.geo.window);
+            assert!(
+                replayed * 10 >= windows * 8,
+                "{cfg:?}: {replayed}/{windows} replayed"
+            );
+        }
+    }
+
+    #[test]
+    fn window_memo_backs_off_when_it_does_not_pay() {
+        let mut m = WindowMemo::default();
+        m.tally(MEMO_EPOCH, MEMO_EPOCH);
+        assert_eq!(m.skip, 0);
+        m.tally(MEMO_EPOCH / 2, 0);
+        assert_eq!(
+            m.skip, 0,
+            "an epoch is not over before {MEMO_EPOCH} windows"
+        );
+        m.tally(MEMO_EPOCH / 2, MEMO_EPOCH / 4);
+        assert_eq!(m.skip, MEMO_MIN_BACKOFF);
+        // Each further unprofitable epoch doubles the back-off ...
+        m.tally(MEMO_EPOCH, 0);
+        assert_eq!(m.skip, 2 * MEMO_MIN_BACKOFF);
+        // ... and a profitable one resets it.
+        m.tally(MEMO_EPOCH, MEMO_EPOCH);
+        m.tally(MEMO_EPOCH, 0);
+        assert_eq!(m.skip, MEMO_MIN_BACKOFF);
+    }
+
+    /// A deterministic xorshift stream for the randomized differential
+    /// tests (the property suite is feature-gated; these always run).
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    #[test]
+    fn fast_path_exact_on_random_bursts_on_every_preset() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for cfg in presets() {
+            for lookahead in [1usize, 2, 8, 32, 64] {
+                for _ in 0..4 {
+                    let bursts: Vec<_> = (0..24)
+                        .map(|_| {
+                            let r = xorshift(&mut x);
+                            (r % (1 << 26), (r >> 32) as u32 % 3000 + 1, r >> 63 == 1)
+                        })
+                        .collect();
+                    assert_fast_matches_slow(cfg.clone(), lookahead, &bursts);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_exact_when_scattered_activates_pace_a_window() {
+        // A short burst elsewhere just before a run of whole windows
+        // shifts the window's activates against the ones before it, so
+        // some land a little older than the oldest completion, where tRRD
+        // and tFAW still pace the next window's activates. The window key
+        // must tell those apart from activates too old to bind.
+        let mut x = 0x6a09_e667_f3bc_c909u64;
+        for cfg in presets() {
+            let bpa = cfg.bytes_per_access();
+            let window = Geometry::of(&cfg).window;
+            for lookahead in [8usize, 32, 64] {
+                let mut bursts = Vec::new();
+                for _ in 0..8 {
+                    for k in 1..40 {
+                        let r = xorshift(&mut x);
+                        bursts.push(((r % (1 << 16)) * bpa, k, false));
+                        bursts.push(((r >> 40) * window * bpa, 3 * window as u32, false));
+                    }
+                }
+                assert_fast_matches_slow(cfg.clone(), lookahead, &bursts);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_exact_when_window_memo_backs_off() {
+        // Scattered single-window bursts between random accesses give the
+        // memo few repeats, so key building backs off and resumes.
+        let mut bursts = Vec::new();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for i in 0..600u64 {
+            let window = xorshift(&mut x) % (1 << 14);
+            bursts.push((window * 8192, 128 + (i % 3) as u32, i % 17 == 0));
+            bursts.push((((x >> 20) % (1 << 28)) & !63, 1, false));
+        }
+        let c = assert_fast_matches_slow(DdrConfig::ddr4_2400_kv260(), 32, &bursts);
+        assert!(c.memo.backoff > 0, "the memo never backed off");
     }
 
     #[test]
@@ -792,8 +1462,9 @@ mod tests {
                 prop_assert_eq!(s.row_hits + s.row_misses + s.row_conflicts, s.accesses());
             }
 
-            /// The closed-form burst fast path is **bit-identical** to the
-            /// per-access reference on arbitrary burst streams — row
+            /// The burst fast paths (window replay and closed-form
+            /// stretches) are **bit-identical** to the per-access
+            /// reference on arbitrary burst streams — every preset, row
             /// crossings, refresh epochs, read↔write turnarounds, shallow
             /// and deep lookahead all included. This is the exactness
             /// invariant `bench/baseline.json` rests on.
@@ -803,9 +1474,16 @@ mod tests {
                     (0u64..(1 << 26), 1u32..3000, proptest::bool::ANY),
                     1..30,
                 ),
-                lookahead in prop_oneof![Just(1usize), Just(32usize)],
+                lookahead in prop_oneof![
+                    Just(1usize),
+                    Just(2usize),
+                    Just(8usize),
+                    Just(32usize),
+                    Just(64usize),
+                ],
+                preset in 0usize..5,
             ) {
-                let cfg = DdrConfig::ddr4_2400_kv260();
+                let cfg = presets()[preset].clone();
                 let mut fast = DdrController::new(cfg.clone(), lookahead);
                 let mut slow = DdrController::new(cfg, lookahead);
                 slow.set_fast_path(false);
@@ -817,6 +1495,12 @@ mod tests {
                         fast.stats(),
                         slow.stats(),
                         "burst {} stats diverged",
+                        i
+                    );
+                    prop_assert_eq!(
+                        model_state(&fast),
+                        model_state(&slow),
+                        "burst {} state diverged",
                         i
                     );
                 }
