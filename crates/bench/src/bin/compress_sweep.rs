@@ -8,7 +8,7 @@
 //! rate beside the PHY (fixed pipe latency + throughput cap), and
 //! charges page-map metadata beats for the compressed page table. The
 //! sweep prices TinyLlama-1.1B generations twice — through
-//! [`zllm_accel::DecodeEngine::new_compressed`] and through a plain
+//! a [`zllm_accel::EngineSpec::compression`] stage and through a plain
 //! twin — on two memory systems (the KV260's DDR4-2400 and the
 //! LPDDR5-6400 swap), using the PL-overclocked engine
 //! ([`zllm_bench::comp_accel`]): the stock KV260 consumes exactly one
@@ -37,7 +37,7 @@
 //! cargo run --release -p zllm-bench --bin compress_sweep -- --json out.json --seed 7
 //! ```
 
-use zllm_accel::{AccelConfig, DecodeEngine};
+use zllm_accel::{AccelConfig, DecodeEngine, EngineSpec};
 use zllm_bench::{cli_seed_arg, cli_value_arg, comp_accel, json_report, print_table, JsonField};
 use zllm_ddr::{CompressionConfig, StreamRatio};
 use zllm_model::ModelConfig;
@@ -109,11 +109,13 @@ fn comp_run(
         StreamRatio::from_ratio(kv),
         StreamRatio::from_ratio(act),
     );
-    let mut eng = DecodeEngine::new_compressed(
+    let mut eng = DecodeEngine::new(
         accel.clone(),
         &ModelConfig::tiny_llama_1_1b(),
-        CTX_CAPACITY,
-        cfg,
+        EngineSpec {
+            compression: Some(cfg),
+            ..EngineSpec::from(CTX_CAPACITY)
+        },
     )
     .expect("TinyLlama-1.1B fits the 4GB device");
     let mut wall_ns = 0.0f64;

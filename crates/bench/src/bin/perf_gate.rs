@@ -69,7 +69,9 @@
 
 use std::path::PathBuf;
 use zllm_accel::telemetry::{DiffStatus, MetricKind, Snapshot};
-use zllm_accel::{AccelConfig, DecodeEngine, DraftCost, ModelImage, SpecWindow, TierConfig};
+use zllm_accel::{
+    AccelConfig, DecodeEngine, DraftCost, EngineSpec, ImageSpec, ModelImage, SpecWindow, TierConfig,
+};
 use zllm_bench::{cli_value_arg, comp_accel, decode_heavy_traffic, print_table, spec_accel};
 use zllm_ddr::{CompressionConfig, FlashConfig, StreamRatio};
 use zllm_model::ModelConfig;
@@ -218,11 +220,13 @@ fn scenario_snapshot() -> Snapshot {
 /// Runs the batch-of-4 scenario; returns its snapshot and the minimum
 /// weight-stream amortization observed across the contexts.
 fn batched_scenario_snapshot() -> (Snapshot, f64) {
-    let mut engine = DecodeEngine::new_batched(
+    let mut engine = DecodeEngine::new(
         AccelConfig::kv260(),
         &ModelConfig::llama2_7b(),
-        BATCH_CTX_CAPACITY,
-        BATCH,
+        EngineSpec {
+            batch: BATCH,
+            ..EngineSpec::from(BATCH_CTX_CAPACITY)
+        },
     )
     .expect("LLaMA2-7B with 4 KV provisions fits the 4GB device");
     let mut min_amortization = f64::INFINITY;
@@ -332,9 +336,15 @@ struct TieredOutcome {
 /// Layer geometry of a model under the gate's accel format:
 /// (largest single-layer bytes, total layer bytes, non-layer bytes).
 fn layer_geometry(model: &ModelConfig) -> (u64, u64, u64) {
-    let image =
-        ModelImage::build_tiered(model, AccelConfig::kv260().format, TIER_CTX + TIER_TOKENS)
-            .expect("13B-shape image fits a virtual map");
+    let image = ModelImage::build(
+        model,
+        AccelConfig::kv260().format,
+        ImageSpec {
+            tiered: true,
+            ..ImageSpec::from(TIER_CTX + TIER_TOKENS)
+        },
+    )
+    .expect("13B-shape image fits a virtual map");
     let max = (0..model.n_layers)
         .map(|l| image.layer_weight_bytes(l))
         .max()
@@ -349,9 +359,15 @@ fn layer_geometry(model: &ModelConfig) -> (u64, u64, u64) {
 /// the engine snapshot, steady-state tok/s, total tier stall and the
 /// physical DDR footprint.
 fn tiered_run(model: &ModelConfig, tier: TierConfig) -> (Snapshot, f64, f64, u64) {
-    let mut engine =
-        DecodeEngine::new_tiered(AccelConfig::kv260(), model, TIER_CTX + TIER_TOKENS, tier)
-            .expect("tiered build fits a virtual map");
+    let mut engine = DecodeEngine::new(
+        AccelConfig::kv260(),
+        model,
+        EngineSpec {
+            tier: Some(tier),
+            ..EngineSpec::from(TIER_CTX + TIER_TOKENS)
+        },
+    )
+    .expect("tiered build fits a virtual map");
     let mut tps = 0.0;
     for _ in 0..TIER_TOKENS {
         tps = engine.decode_token(TIER_CTX).tokens_per_s;
@@ -423,7 +439,7 @@ fn tiered_scenario() -> TieredOutcome {
 fn spec_scenario_snapshot() -> (Snapshot, f64, f64) {
     let accel = spec_accel();
     let model = ModelConfig::tiny_llama_1_1b();
-    let mut engine = DecodeEngine::new_batched(accel.clone(), &model, SPEC_CTX_CAPACITY, 1)
+    let mut engine = DecodeEngine::new(accel.clone(), &model, SPEC_CTX_CAPACITY)
         .expect("TinyLlama-1.1B fits the 4GB device");
     let mut rng = StdRng::seed_from_u64(SPEC_SEED);
     let draft = DraftCost::FlatNs {
@@ -452,7 +468,7 @@ fn spec_scenario_snapshot() -> (Snapshot, f64, f64) {
         committed += accepted + 1;
         ctx += accepted + 1;
     }
-    let mut base = DecodeEngine::new_batched(accel, &model, SPEC_CTX_CAPACITY, 1)
+    let mut base = DecodeEngine::new(accel, &model, SPEC_CTX_CAPACITY)
         .expect("TinyLlama-1.1B fits the 4GB device");
     let mut base_wall_ns = 0.0f64;
     for c in SPEC_START_CTX..SPEC_START_CTX + SPEC_TOKENS {
@@ -482,11 +498,13 @@ fn comp_scenario_snapshot() -> (Snapshot, f64, f64) {
     };
     let (plain_snap, plain_wall) = run(DecodeEngine::new(accel.clone(), &model, COMP_CTX_CAPACITY)
         .expect("TinyLlama-1.1B fits the 4GB device"));
-    let (identity_snap, identity_wall) = run(DecodeEngine::new_compressed(
+    let (identity_snap, identity_wall) = run(DecodeEngine::new(
         accel.clone(),
         &model,
-        COMP_CTX_CAPACITY,
-        CompressionConfig::identity(),
+        EngineSpec {
+            compression: Some(CompressionConfig::identity()),
+            ..EngineSpec::from(COMP_CTX_CAPACITY)
+        },
     )
     .expect("TinyLlama-1.1B fits the 4GB device"));
     // The compression-off gate: an all-identity stage must be invisible
@@ -506,11 +524,15 @@ fn comp_scenario_snapshot() -> (Snapshot, f64, f64) {
         StreamRatio::from_ratio(m.kv.achievable_ratio),
         StreamRatio::from_ratio(m.activation.achievable_ratio),
     );
-    let (comp_snap, comp_wall) =
-        run(
-            DecodeEngine::new_compressed(accel, &model, COMP_CTX_CAPACITY, cfg)
-                .expect("TinyLlama-1.1B fits the 4GB device"),
-        );
+    let (comp_snap, comp_wall) = run(DecodeEngine::new(
+        accel,
+        &model,
+        EngineSpec {
+            compression: Some(cfg),
+            ..EngineSpec::from(COMP_CTX_CAPACITY)
+        },
+    )
+    .expect("TinyLlama-1.1B fits the 4GB device"));
     let gb = simulated_gb_of(&plain_snap)
         + simulated_gb_of(&identity_snap)
         + simulated_gb_of(&comp_snap);

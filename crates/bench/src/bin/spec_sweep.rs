@@ -84,13 +84,8 @@ impl Run {
 }
 
 fn engine(accel: &AccelConfig) -> DecodeEngine {
-    DecodeEngine::new_batched(
-        accel.clone(),
-        &ModelConfig::tiny_llama_1_1b(),
-        CTX_CAPACITY,
-        1,
-    )
-    .expect("TinyLlama-1.1B fits the 4GB device")
+    DecodeEngine::new(accel.clone(), &ModelConfig::tiny_llama_1_1b(), CTX_CAPACITY)
+        .expect("TinyLlama-1.1B fits the 4GB device")
 }
 
 /// Prices one speculative generation: verify windows from `START_CTX`

@@ -18,7 +18,9 @@
 //! cargo run --release -p zllm-bench --bin tier_sweep -- --json out.json
 //! ```
 
-use zllm_accel::{AccelConfig, DecodeEngine, TierConfig, TierReport};
+use zllm_accel::{
+    AccelConfig, DecodeEngine, EngineSpec, ImageSpec, ModelImage, TierConfig, TierReport,
+};
 use zllm_bench::{cli_seed_arg, cli_value_arg, fmt_mib, json_report, print_table, JsonField};
 use zllm_ddr::FlashConfig;
 use zllm_model::ModelConfig;
@@ -88,8 +90,15 @@ fn run_one(
     policy: &'static str,
 ) -> Run {
     let tier = tier_config(policy, flash, budget_bytes);
-    let mut engine = DecodeEngine::new_tiered(accel.clone(), model, CTX + TOKENS, tier)
-        .expect("tiered build fits some virtual map");
+    let mut engine = DecodeEngine::new(
+        accel.clone(),
+        model,
+        EngineSpec {
+            tier: Some(tier),
+            ..EngineSpec::from(CTX + TOKENS)
+        },
+    )
+    .expect("tiered build fits some virtual map");
     let mut warm = None;
     let mut last = None;
     for t in 0..TOKENS {
@@ -131,24 +140,23 @@ fn sweep(
     flashes: &[&'static str],
     runs: &mut Vec<Run>,
 ) {
-    // Layer geometry comes from a throwaway all-resident build.
-    let probe = DecodeEngine::new_tiered(
-        accel.clone(),
+    // Layer geometry comes from the tiered placement alone.
+    let probe = ModelImage::build(
         model,
-        CTX + TOKENS,
-        TierConfig::schedule_aware(FlashConfig::nvme_gen3(), u64::MAX / 2),
+        accel.format,
+        ImageSpec {
+            tiered: true,
+            ..ImageSpec::from(CTX + TOKENS)
+        },
     )
     .expect("probe build");
     let n_layers = model.n_layers;
     let layer_bytes: u64 = (0..n_layers)
-        .map(|l| probe.image().layer_weight_bytes(l))
+        .map(|l| probe.layer_weight_bytes(l))
         .max()
         .expect("model has layers");
-    let total_layer_bytes: u64 = (0..n_layers)
-        .map(|l| probe.image().layer_weight_bytes(l))
-        .sum();
-    let non_layer = probe.image().non_layer_resident_bytes();
-    drop(probe);
+    let total_layer_bytes: u64 = (0..n_layers).map(|l| probe.layer_weight_bytes(l)).sum();
+    let non_layer = probe.non_layer_resident_bytes();
 
     println!(
         "{part} — {n_layers} layers × {}, non-layer residency {}\n",

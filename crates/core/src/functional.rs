@@ -367,7 +367,7 @@ struct LayerKv {
 }
 
 /// The shared physical page pool of a paged batch decoder — the
-/// functional mirror of [`crate::ModelImage::build_paged`]: fixed-size
+/// functional mirror of a paged [`crate::ModelImage`]: fixed-size
 /// pages of `page_tokens` tokens granted on demand through the layout
 /// allocator, each holding that token span's K/V codes for every layer.
 /// Paging only remaps *where* codes are stored, never what is computed,
@@ -772,7 +772,7 @@ impl<'m> AccelBatchDecoder<'m> {
     /// Creates a decoder for `batch` concurrent sequences whose KV codes
     /// live in a shared pool of `total_pages` pages of `page_tokens`
     /// tokens each, granted on demand as sequences decode — the
-    /// functional mirror of [`crate::ModelImage::build_paged`]. Paging
+    /// functional mirror of a paged [`crate::ModelImage`]. Paging
     /// remaps storage only; logits are bit-identical to
     /// [`AccelBatchDecoder::new`] fed the same tokens.
     ///

@@ -7,6 +7,7 @@
 //! embedding table, weights and early-layer KV space) and spills to the
 //! low window when full.
 
+use crate::spec::{ImageSpec, SpecError};
 use zllm_layout::addr_map::{AllocError, MemoryMap, Region, Window};
 use zllm_layout::kv_page::PAGE_TOKEN_QUANTUM;
 use zllm_layout::weight::WeightFormat;
@@ -22,7 +23,7 @@ pub const PROJECTIONS: [&str; 7] = ["wq", "wk", "wv", "wo", "w_gate", "w_up", "w
 
 /// Splits `n_layers` transformer layers into `stages` contiguous,
 /// near-even ranges — the canonical pipeline-parallel shard boundaries
-/// shared by [`ModelImage::build_shard`] callers and the functional
+/// shared by shard images ([`ImageSpec::layers`]) and the functional
 /// sharded decoder. Earlier stages absorb the remainder, so stage sizes
 /// differ by at most one layer.
 ///
@@ -87,7 +88,7 @@ pub struct ModelImage {
     map: MemoryMap,
     /// Global index of the first transformer layer this image holds.
     /// Zero for a full image; the shard boundary for pipeline-parallel
-    /// splits built by [`ModelImage::build_shard`].
+    /// splits placed with [`ImageSpec::layers`].
     layer_offset: usize,
     /// Whether this image places the LM head (the last pipeline stage).
     owns_head: bool,
@@ -103,252 +104,100 @@ pub struct ModelImage {
     /// physical pages addressed through per-sequence page tables.
     kv_regions: Vec<Region>,
     kv_meta: Region,
-    /// `Some(page_tokens)` for a paged image ([`ModelImage::build_paged`]):
+    /// `Some(page_tokens)` for a paged image ([`ImageSpec::page_tokens`]):
     /// KV space is carved into fixed-size pages of this many tokens and
     /// every KV access indirects through a per-sequence page table.
     page_tokens: Option<usize>,
     /// The per-sequence page tables in DDR (paged images only).
     page_table: Option<Region>,
     /// Whether the image was placed in an extended virtual address space
-    /// for tiered weight storage ([`ModelImage::build_tiered`]).
+    /// for tiered weight storage ([`ImageSpec::tiered`]).
     tiered_virtual: bool,
 }
 
 impl ModelImage {
-    /// Builds the image for a model at a given context capacity (one
-    /// sequence).
+    /// Places `model` in the bare-metal memory map as `spec` describes
+    /// (a bare context length is one contiguous sequence of the full
+    /// model — see [`ImageSpec`]).
+    ///
+    /// A batched image places the weight streams exactly as the
+    /// single-sequence image does (batching never duplicates them) and
+    /// reserves `batch` KV blocks. A paged image carves the same KV
+    /// budget into pages granted on demand, with per-sequence page tables
+    /// in DDR; pages use a canonical interleaved placement (logical page
+    /// `p` of sequence `s` lives at physical page `p × batch + s`), so the
+    /// burst streams stay a pure function of `(slot, ctx)` while still
+    /// modelling the scatter of a shared pool. A shard holds only its
+    /// layer range, and everything on it — layer accessors, KV budget,
+    /// request pricing, schedules — speaks shard-local layer indices
+    /// (`0..layers.len()`); the global boundary is
+    /// [`ModelImage::layer_offset`]. A tiered image keeps every layer at
+    /// a canonical, stable address whichever layers are physically
+    /// resident (that is the weight tier's accounting), so an
+    /// all-resident tier prices bit-identically to a flat image.
     ///
     /// # Errors
     ///
-    /// Returns the allocation failure if the model does not fit the 4 GB
-    /// device (e.g. LLaMA2-13B).
+    /// [`SpecError::Alloc`] if the image does not fit (e.g. LLaMA2-13B in
+    /// 4 GB, or weights plus `batch` KV blocks past the capacity wall),
+    /// and the matching [`SpecError`] for a malformed model, a zero
+    /// batch, a page size off the 16-token pack window, a context that
+    /// is not a whole number of pages, or an empty or out-of-range layer
+    /// range.
     pub fn build(
         model: &ModelConfig,
         format: WeightFormat,
-        ctx_capacity: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_batched(model, format, ctx_capacity, 1)
-    }
-
-    /// Builds the image with KV space for `batch` concurrent sequences of
-    /// `ctx_capacity` tokens each. The weight streams are placed exactly
-    /// as in the single-sequence image — batching never duplicates them —
-    /// so `batch = 1` reproduces [`ModelImage::build`] byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if weights plus `batch` KV FIFOs
-    /// exceed the 4 GB device — the capacity wall the batch sweep tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn build_batched(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(model, format, ctx_capacity, batch, 0..model.n_layers, None)
-    }
-
-    /// Builds a **paged** image: the same weight placement and total KV
-    /// provisioning as [`ModelImage::build_batched`], but the KV space is
-    /// carved into fixed-size pages of `page_tokens` tokens granted on
-    /// demand, with per-sequence page tables placed in DDR and every KV
-    /// access indirecting through them. Pages use a canonical interleaved
-    /// physical placement (logical page `p` of sequence `s` lives at
-    /// physical page `p × batch + s`), so the burst streams are a pure
-    /// function of `(slot, ctx)` — cacheable like every other schedule —
-    /// while still modelling the scatter a shared page pool produces.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the image (weights, KV pool,
-    /// scale-zero packs, page tables) exceeds the 4 GB device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero, `page_tokens` is not a positive
-    /// multiple of the 16-token pack window, or `ctx_capacity` is not a
-    /// multiple of `page_tokens`.
-    pub fn build_paged(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        page_tokens: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(
-            model,
-            format,
-            ctx_capacity,
-            batch,
-            0..model.n_layers,
-            Some(page_tokens),
-        )
-    }
-
-    /// Builds the image of one pipeline-parallel shard: the weight
-    /// streams and KV regions of layers `layers.start..layers.end` only,
-    /// plus the embedding table when the shard starts at layer 0 and the
-    /// LM head when it ends at the last layer. Everything on the image —
-    /// layer accessors, KV budget, request pricing, schedules — then
-    /// speaks shard-local layer indices (`0..layers.len()`); the global
-    /// boundary is recorded as [`ModelImage::layer_offset`].
-    ///
-    /// A board holding a shard spends its DDR only on its own slice, so
-    /// per-board KV budgets shrink with depth and the freed capacity can
-    /// be re-provisioned as extra sequence slots — the lever the cluster
-    /// layer prices.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the shard does not fit the 4 GB
-    /// device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero or `layers` is empty or out of range.
-    pub fn build_shard(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(model, format, ctx_capacity, batch, layers, None)
-    }
-
-    /// [`ModelImage::build_shard`] with paged KV space on the shard —
-    /// the per-board analogue of [`ModelImage::build_paged`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the shard does not fit the 4 GB
-    /// device.
-    ///
-    /// # Panics
-    ///
-    /// Panics as [`ModelImage::build_paged`] and
-    /// [`ModelImage::build_shard`] do.
-    pub fn build_shard_paged(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-        page_tokens: usize,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged(
-            model,
-            format,
-            ctx_capacity,
-            batch,
-            layers,
-            Some(page_tokens),
-        )
-    }
-
-    /// Builds the image for **tiered** (flash-backed) weight storage:
-    /// identical to [`ModelImage::build`] when the model fits the 4 GiB
-    /// device, and otherwise placed in the smallest power-of-two
-    /// [`MemoryMap::tiered_virtual`] address space that holds it. Layers
-    /// keep canonical, stable addresses either way — which layers are
-    /// *physically* resident is the `WeightCache`'s accounting, enforced
-    /// by the tier budget, not by placement — so schedules stay cacheable
-    /// and an all-resident tier prices bit-identically to a flat image.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if the model exceeds even a 64 GiB
-    /// virtual address space.
-    pub fn build_tiered(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-    ) -> Result<ModelImage, AllocError> {
-        let mut last = match ModelImage::build(model, format, ctx_capacity) {
-            Ok(image) => return Ok(image),
-            Err(e) => e,
-        };
-        for gib in [8u64, 16, 32, 64] {
-            match ModelImage::build_virtual(model, format, ctx_capacity, gib << 30) {
-                Ok(image) => return Ok(image),
-                Err(e) => last = e,
+        spec: impl Into<ImageSpec>,
+    ) -> Result<ModelImage, SpecError> {
+        let spec = spec.into();
+        if spec.batch == 0 {
+            return Err(SpecError::ZeroBatch);
+        }
+        model.validate().map_err(SpecError::InvalidModel)?;
+        if let Some(page_tokens) = spec.page_tokens {
+            if page_tokens == 0 || !page_tokens.is_multiple_of(PAGE_TOKEN_QUANTUM) {
+                return Err(SpecError::MisalignedPage { page_tokens });
+            }
+            if !spec.ctx_capacity.is_multiple_of(page_tokens) {
+                return Err(SpecError::ContextNotPageMultiple {
+                    ctx_capacity: spec.ctx_capacity,
+                    page_tokens,
+                });
             }
         }
-        Err(last)
+        let layers = spec.layers.clone().unwrap_or(0..model.n_layers);
+        if layers.is_empty() || layers.end > model.n_layers {
+            return Err(SpecError::BadLayerRange {
+                layers,
+                n_layers: model.n_layers,
+            });
+        }
+        let mut placed = ModelImage::place(model, format, &spec, &layers, MemoryMap::kv260());
+        // A tiered image that misses the 4 GiB map moves to the smallest
+        // virtual address space that holds it.
+        for gib in [8u64, 16, 32, 64] {
+            if !spec.tiered || placed.is_ok() {
+                break;
+            }
+            let map = MemoryMap::tiered_virtual(gib << 30);
+            placed =
+                ModelImage::place(model, format, &spec, &layers, map).map(|image| ModelImage {
+                    tiered_virtual: true,
+                    ..image
+                });
+        }
+        Ok(placed?)
     }
 
-    fn build_virtual(
+    /// Allocates every region of a validated spec in `map`.
+    fn place(
         model: &ModelConfig,
         format: WeightFormat,
-        ctx_capacity: usize,
-        total_bytes: u64,
-    ) -> Result<ModelImage, AllocError> {
-        let mut image = ModelImage::build_ranged_in(
-            model,
-            format,
-            ctx_capacity,
-            1,
-            0..model.n_layers,
-            None,
-            MemoryMap::tiered_virtual(total_bytes),
-        )?;
-        image.tiered_virtual = true;
-        Ok(image)
-    }
-
-    fn build_ranged(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-        page_tokens: Option<usize>,
-    ) -> Result<ModelImage, AllocError> {
-        ModelImage::build_ranged_in(
-            model,
-            format,
-            ctx_capacity,
-            batch,
-            layers,
-            page_tokens,
-            MemoryMap::kv260(),
-        )
-    }
-
-    fn build_ranged_in(
-        model: &ModelConfig,
-        format: WeightFormat,
-        ctx_capacity: usize,
-        batch: usize,
-        layers: std::ops::Range<usize>,
-        page_tokens: Option<usize>,
+        spec: &ImageSpec,
+        layers: &std::ops::Range<usize>,
         mut map: MemoryMap,
     ) -> Result<ModelImage, AllocError> {
-        assert!(batch > 0, "batch must be at least 1");
-        if let Some(pt) = page_tokens {
-            assert!(
-                pt > 0 && pt.is_multiple_of(PAGE_TOKEN_QUANTUM),
-                "page_tokens {pt} must be a positive multiple of {PAGE_TOKEN_QUANTUM}"
-            );
-            assert!(
-                ctx_capacity.is_multiple_of(pt),
-                "ctx_capacity {ctx_capacity} must be a multiple of page_tokens {pt}"
-            );
-        }
-        assert!(
-            !layers.is_empty() && layers.end <= model.n_layers,
-            "shard layer range {layers:?} must be a non-empty subrange of 0..{}",
-            model.n_layers
-        );
-        model.validate().map_err(|e| AllocError {
-            name: e,
-            requested: 0,
-            available: 0,
-        })?;
+        let (ctx_capacity, batch, page_tokens) = (spec.ctx_capacity, spec.batch, spec.page_tokens);
         let owns_embedding = layers.start == 0;
         let owns_head = layers.end == model.n_layers;
         // The image speaks shard-local layer indices: a shard-local model
@@ -476,7 +325,7 @@ impl ModelImage {
     }
 
     /// The model configuration this image holds. For a shard built by
-    /// [`ModelImage::build_shard`] this is the shard-local view —
+    /// [`ImageSpec::layers`] this is the shard-local view —
     /// `n_layers` is the slice length, and every layer-indexed accessor
     /// takes shard-local indices.
     pub fn model(&self) -> &ModelConfig {
@@ -858,7 +707,7 @@ impl ModelImage {
     }
 
     /// Whether the image lives in an extended virtual address space for
-    /// tiered weight storage (see [`ModelImage::build_tiered`]).
+    /// tiered weight storage (see [`ImageSpec::tiered`]).
     pub fn is_tiered_virtual(&self) -> bool {
         self.tiered_virtual
     }
@@ -867,6 +716,27 @@ impl ModelImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn spec(ctx_capacity: usize, batch: usize) -> ImageSpec {
+        ImageSpec {
+            batch,
+            ..ImageSpec::from(ctx_capacity)
+        }
+    }
+
+    fn paged(ctx_capacity: usize, batch: usize, page_tokens: usize) -> ImageSpec {
+        ImageSpec {
+            page_tokens: Some(page_tokens),
+            ..spec(ctx_capacity, batch)
+        }
+    }
+
+    fn shard(ctx_capacity: usize, batch: usize, layers: std::ops::Range<usize>) -> ImageSpec {
+        ImageSpec {
+            layers: Some(layers),
+            ..spec(ctx_capacity, batch)
+        }
+    }
 
     #[test]
     fn llama2_7b_image_reproduces_fig1() {
@@ -955,7 +825,7 @@ mod tests {
     fn batched_image_shares_weights_and_separates_kv() {
         let cfg = ModelConfig::test_small();
         let single = ModelImage::build(&cfg, WeightFormat::kv260(), 32).expect("fits");
-        let batched = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
+        let batched = ModelImage::build(&cfg, WeightFormat::kv260(), spec(32, 4)).expect("fits");
         assert_eq!(single.batch(), 1);
         assert_eq!(batched.batch(), 4);
         // The dense weight image is identical — batching never duplicates it.
@@ -981,7 +851,7 @@ mod tests {
     #[test]
     fn kv_budget_prices_full_occupancy() {
         let cfg = ModelConfig::test_small();
-        let image = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
+        let image = ModelImage::build(&cfg, WeightFormat::kv260(), spec(32, 4)).expect("fits");
         // A full slot costs exactly 1/batch of the provisioned budget.
         assert_eq!(image.kv_request_bytes(32) * 4, image.kv_budget_bytes());
         // Footprint is monotone in tokens and zero at zero.
@@ -999,8 +869,8 @@ mod tests {
     #[test]
     fn paged_image_redivides_the_kv_budget_exactly() {
         let cfg = ModelConfig::test_small();
-        let flat = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let flat = ModelImage::build(&cfg, WeightFormat::kv260(), spec(32, 4)).expect("fits");
+        let paged = ModelImage::build(&cfg, WeightFormat::kv260(), paged(32, 4, 16)).expect("fits");
         assert!(paged.is_paged() && !flat.is_paged());
         assert_eq!(paged.page_tokens(), Some(16));
         // Paging re-divides the same budget: pages × page bytes is the
@@ -1035,8 +905,8 @@ mod tests {
     #[test]
     fn paged_reads_fragment_but_conserve_bytes() {
         let cfg = ModelConfig::test_small();
-        let flat = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 4).expect("fits");
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let flat = ModelImage::build(&cfg, WeightFormat::kv260(), spec(32, 4)).expect("fits");
+        let paged = ModelImage::build(&cfg, WeightFormat::kv260(), paged(32, 4, 16)).expect("fits");
         for ctx in [1usize, 15, 16, 17, 31, 32] {
             let flat_bytes: u64 = flat
                 .kv_read_bursts_seq(0, false, ctx, 1)
@@ -1064,7 +934,7 @@ mod tests {
     #[test]
     fn page_table_bursts_are_priced_per_sequence() {
         let cfg = ModelConfig::test_small();
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let paged = ModelImage::build(&cfg, WeightFormat::kv260(), paged(32, 4, 16)).expect("fits");
         // 2 entries × 4 B rounds up to one 64 B beat per sequence.
         let r0 = paged.kv_page_table_read_burst(0);
         let r1 = paged.kv_page_table_read_burst(1);
@@ -1078,17 +948,58 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive multiple")]
     fn paged_image_rejects_misaligned_page_size() {
         let cfg = ModelConfig::test_small();
-        let _ = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 24);
+        let build = |spec| ModelImage::build(&cfg, WeightFormat::kv260(), spec).unwrap_err();
+        assert_eq!(
+            build(paged(32, 4, 24)),
+            SpecError::MisalignedPage { page_tokens: 24 }
+        );
+        assert_eq!(
+            build(paged(32, 4, 0)),
+            SpecError::MisalignedPage { page_tokens: 0 }
+        );
+        assert_eq!(
+            build(paged(40, 4, 16)),
+            SpecError::ContextNotPageMultiple {
+                ctx_capacity: 40,
+                page_tokens: 16
+            }
+        );
+    }
+
+    #[test]
+    fn malformed_specs_are_typed_errors() {
+        let cfg = ModelConfig::test_small();
+        let build = |spec| ModelImage::build(&cfg, WeightFormat::kv260(), spec).unwrap_err();
+        assert_eq!(build(spec(32, 0)), SpecError::ZeroBatch);
+        let n_layers = cfg.n_layers;
+        for layers in [1..1, 0..n_layers + 1] {
+            assert_eq!(
+                build(shard(32, 1, layers.clone())),
+                SpecError::BadLayerRange { layers, n_layers }
+            );
+        }
+    }
+
+    #[test]
+    fn invalid_model_is_not_a_capacity_failure() {
+        // A malformed geometry must not read as "does not fit": a
+        // capacity bisection over `is_ok()` would report it as too big.
+        let mut cfg = ModelConfig::test_small();
+        cfg.n_heads += 1;
+        let err = ModelImage::build(&cfg, WeightFormat::kv260(), 32).unwrap_err();
+        assert!(
+            matches!(&err, SpecError::InvalidModel(msg) if msg.contains("n_heads")),
+            "{err:?}"
+        );
     }
 
     #[test]
     #[should_panic(expected = "paged image history is fragmented")]
     fn contiguous_read_accessor_rejects_paged_images() {
         let cfg = ModelConfig::test_small();
-        let paged = ModelImage::build_paged(&cfg, WeightFormat::kv260(), 32, 4, 16).expect("fits");
+        let paged = ModelImage::build(&cfg, WeightFormat::kv260(), paged(32, 4, 16)).expect("fits");
         let _ = paged.kv_read_burst_seq(0, false, 4, 0);
     }
 
@@ -1096,18 +1007,18 @@ mod tests {
     #[should_panic(expected = "sequence beyond provisioned batch")]
     fn kv_read_checks_batch() {
         let cfg = ModelConfig::test_small();
-        let image = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 16, 2).expect("fits");
+        let image = ModelImage::build(&cfg, WeightFormat::kv260(), spec(16, 2)).expect("fits");
         let _ = image.kv_read_burst_seq(0, false, 4, 2);
     }
 
     #[test]
     fn shards_partition_the_full_image() {
         let cfg = ModelConfig::test_small();
-        let full = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 2).expect("fits");
+        let full = ModelImage::build(&cfg, WeightFormat::kv260(), spec(32, 2)).expect("fits");
         let mid = cfg.n_layers / 2;
         let first =
-            ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, 0..mid).expect("fits");
-        let last = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, mid..cfg.n_layers)
+            ModelImage::build(&cfg, WeightFormat::kv260(), shard(32, 2, 0..mid)).expect("fits");
+        let last = ModelImage::build(&cfg, WeightFormat::kv260(), shard(32, 2, mid..cfg.n_layers))
             .expect("fits");
 
         // Ownership splits along the pipeline.
@@ -1140,7 +1051,7 @@ mod tests {
         assert_eq!(last.layer_projections(0)[0].layer, mid);
 
         // A full build is a degenerate shard.
-        let whole = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, 0..cfg.n_layers)
+        let whole = ModelImage::build(&cfg, WeightFormat::kv260(), shard(32, 2, 0..cfg.n_layers))
             .expect("fits");
         assert_eq!(whole.weight_stream_bytes(), full.weight_stream_bytes());
         assert_eq!(whole.kv_budget_bytes(), full.kv_budget_bytes());
@@ -1151,7 +1062,7 @@ mod tests {
     #[should_panic(expected = "does not place the embedding table")]
     fn tail_shard_has_no_embedding() {
         let cfg = ModelConfig::test_small();
-        let shard = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 16, 1, 1..cfg.n_layers)
+        let shard = ModelImage::build(&cfg, WeightFormat::kv260(), shard(16, 1, 1..cfg.n_layers))
             .expect("fits");
         let _ = shard.embedding_row_burst(0);
     }
@@ -1161,7 +1072,7 @@ mod tests {
     fn head_shard_has_no_lm_head() {
         let cfg = ModelConfig::test_small();
         let shard =
-            ModelImage::build_shard(&cfg, WeightFormat::kv260(), 16, 1, 0..1).expect("fits");
+            ModelImage::build(&cfg, WeightFormat::kv260(), shard(16, 1, 0..1)).expect("fits");
         let _ = shard.lm_head();
     }
 }

@@ -43,6 +43,7 @@ pub mod pipeline;
 pub mod power;
 pub mod resources;
 pub mod schedule;
+pub mod spec;
 pub mod spu;
 pub mod tier;
 pub mod trace;
@@ -54,6 +55,7 @@ pub use functional::{
 };
 pub use image::{split_layers, ModelImage};
 pub use schedule::{PrefillChunk, SpecWindow};
+pub use spec::{EngineSpec, ImageSpec, SpecError};
 pub use tier::{BlindLru, PrefetchPolicy, ScheduleAware, TierConfig, TierReport};
 pub use trace::{BatchTokenReport, DecodeEngine, DraftCost, TokenReport};
 

@@ -733,6 +733,7 @@ pub fn speculative_verify_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ImageSpec;
     use zllm_layout::weight::WeightFormat;
     use zllm_model::ModelConfig;
 
@@ -742,8 +743,15 @@ mod tests {
     }
 
     fn batched_image(batch: usize) -> ModelImage {
-        ModelImage::build_batched(&ModelConfig::test_small(), WeightFormat::kv260(), 32, batch)
-            .expect("test model fits")
+        ModelImage::build(
+            &ModelConfig::test_small(),
+            WeightFormat::kv260(),
+            ImageSpec {
+                batch,
+                ..ImageSpec::from(32)
+            },
+        )
+        .expect("test model fits")
     }
 
     /// Bytes split into the two halves of the batched memory model:
@@ -1055,12 +1063,14 @@ mod tests {
     }
 
     fn paged_image(batch: usize) -> ModelImage {
-        ModelImage::build_paged(
+        ModelImage::build(
             &ModelConfig::test_small(),
             WeightFormat::kv260(),
-            32,
-            batch,
-            16,
+            ImageSpec {
+                batch,
+                page_tokens: Some(16),
+                ..ImageSpec::from(32)
+            },
         )
         .expect("test model fits")
     }
@@ -1321,12 +1331,36 @@ mod tests {
     #[test]
     fn shard_schedules_partition_full_ddr_traffic() {
         let cfg = ModelConfig::test_small();
-        let full = ModelImage::build_batched(&cfg, WeightFormat::kv260(), 32, 2).expect("fits");
+        let full = ModelImage::build(
+            &cfg,
+            WeightFormat::kv260(),
+            ImageSpec {
+                batch: 2,
+                ..ImageSpec::from(32)
+            },
+        )
+        .expect("fits");
         let mid = cfg.n_layers / 2;
-        let first =
-            ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, 0..mid).expect("fits");
-        let last = ModelImage::build_shard(&cfg, WeightFormat::kv260(), 32, 2, mid..cfg.n_layers)
-            .expect("fits");
+        let first = ModelImage::build(
+            &cfg,
+            WeightFormat::kv260(),
+            ImageSpec {
+                batch: 2,
+                layers: Some(0..mid),
+                ..ImageSpec::from(32)
+            },
+        )
+        .expect("fits");
+        let last = ModelImage::build(
+            &cfg,
+            WeightFormat::kv260(),
+            ImageSpec {
+                batch: 2,
+                layers: Some(mid..cfg.n_layers),
+                ..ImageSpec::from(32)
+            },
+        )
+        .expect("fits");
         let slots = [(0usize, 15usize), (1, 7)];
         for mode in [PipelineMode::Fused, PipelineMode::Coarse] {
             let whole = ragged_token_schedule(&full, &slots, mode);
@@ -1364,6 +1398,7 @@ mod tests {
 #[cfg(all(test, feature = "proptest"))]
 mod properties {
     use super::*;
+    use crate::spec::ImageSpec;
     use proptest::prelude::*;
     use zllm_layout::weight::WeightFormat;
     use zllm_model::ModelConfig;
@@ -1393,12 +1428,7 @@ mod properties {
             coarse in proptest::bool::ANY,
         ) {
             let mode = if coarse { PipelineMode::Coarse } else { PipelineMode::Fused };
-            let image = ModelImage::build_batched(
-                &ModelConfig::test_small(),
-                WeightFormat::kv260(),
-                32,
-                6,
-            )
+            let image = ModelImage::build(&ModelConfig::test_small(), WeightFormat::kv260(), ImageSpec { batch: 6, ..ImageSpec::from(32) })
             .expect("test model fits");
             let (w1, s1) = split(&batched_token_schedule(&image, ctx, 1, mode));
             let sched = batched_token_schedule(&image, ctx, batch, mode);

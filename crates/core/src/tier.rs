@@ -36,6 +36,7 @@ use zllm_layout::{BurstDescriptor, WeightCache};
 use zllm_telemetry::{Counter, Gauge, MetricsRegistry};
 
 use crate::image::ModelImage;
+use crate::spec::SpecError;
 
 /// The strawman's fixed lookahead (SNIPPETS §1: FlashLLM's aggressive
 /// sequential pipelining).
@@ -317,12 +318,20 @@ impl TierState {
     /// Builds the tier over an image: per-layer byte accounting, the
     /// policy's plan, and a warm cache (boot-time load is free).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the budget cannot hold the largest single layer.
-    pub(crate) fn new(image: &ModelImage, mut cfg: TierConfig) -> TierState {
+    /// [`SpecError::TierBudgetTooSmall`] if the budget cannot hold the
+    /// largest single layer.
+    pub(crate) fn new(image: &ModelImage, mut cfg: TierConfig) -> Result<TierState, SpecError> {
         let n_layers = image.model().n_layers;
         let layer_bytes: Vec<u64> = (0..n_layers).map(|l| image.layer_weight_bytes(l)).collect();
+        let largest_layer_bytes = layer_bytes.iter().copied().max().unwrap_or(0);
+        if cfg.weight_budget_bytes < largest_layer_bytes {
+            return Err(SpecError::TierBudgetTooSmall {
+                budget_bytes: cfg.weight_budget_bytes,
+                largest_layer_bytes,
+            });
+        }
         let layer_bursts: Vec<Vec<BurstDescriptor>> = (0..n_layers)
             .map(|l| {
                 image
@@ -342,7 +351,7 @@ impl TierState {
                 cache.insert(l);
             }
         }
-        TierState {
+        Ok(TierState {
             cache,
             policy: cfg.policy,
             flash: FlashDevice::new(cfg.flash),
@@ -351,7 +360,7 @@ impl TierState {
             tally: TierTally::default(),
             metrics: None,
             layer_bursts,
-        }
+        })
     }
 
     /// Evicts `victim`, counting a wasted prefetch if it was in flight.

@@ -15,13 +15,13 @@ use crate::schedule::{
     batched_token_schedule, chunked_prefill_schedule, ragged_token_schedule,
     speculative_verify_schedule, token_schedule, PrefillChunk, SpecWindow, TokenSchedule,
 };
-use crate::tier::{TierConfig, TierReport, TierState};
-use crate::vpu::{Vpu, VpuCounters};
+use crate::spec::{EngineSpec, SpecError};
+use crate::tier::{TierReport, TierState};
+use crate::vpu::Vpu;
 use std::collections::HashMap;
 use std::rc::Rc;
-use zllm_ddr::compress::{CompCounters, CompressedController, CompressionConfig, StreamClass};
+use zllm_ddr::compress::{CompCounters, CompressedController, StreamClass};
 use zllm_ddr::{DdrCounters, MemorySystem};
-use zllm_layout::addr_map::AllocError;
 use zllm_model::{memory, ModelConfig};
 use zllm_telemetry::{Counter, Gauge, MetricsRegistry, Snapshot};
 
@@ -136,15 +136,23 @@ fn is_per_sequence_kind(kind: &str) -> bool {
 
 /// The compression stream class of an operation kind: weight tiles, KV8
 /// cache lines, and FP16 activation (embedding) rows each carry their own
-/// entropy-measured ratio; everything else — scale-zero flushes, page
-/// tables, rollback metadata — is latency-critical control traffic the
-/// controller never compresses.
+/// entropy-measured ratio; scale-zero flushes, page tables and rollback
+/// metadata are latency-critical control traffic the controller never
+/// compresses.
+///
+/// # Panics
+///
+/// Panics on a kind no schedule emits, so a new op kind is classed on
+/// purpose rather than priced as metadata by default.
 fn stream_class_of(kind: &str) -> StreamClass {
     match kind {
         "qkv" | "wo" | "mlp" | "lm_head" => StreamClass::Weight,
         "kv_read" | "kv_write" => StreamClass::Kv,
         "embedding" => StreamClass::Activation,
-        _ => StreamClass::Meta,
+        "kv_meta_flush" | "kv_meta_rollback" | "kv_pt_read" | "kv_pt_write" | "kv_pt_rollback" => {
+            StreamClass::Meta
+        }
+        _ => panic!("op kind {kind:?} has no compression stream class"),
     }
 }
 
@@ -209,16 +217,15 @@ pub struct RunReport {
 #[derive(Debug)]
 pub struct DecodeEngine {
     accel: AccelConfig,
-    model: ModelConfig,
     image: ModelImage,
     mem: MemorySystem,
     vpu: Vpu,
-    /// Flash-backed weight tier ([`DecodeEngine::new_tiered`]); `None`
-    /// for the ordinary all-in-DDR engine.
+    /// Flash-backed weight tier ([`EngineSpec::tier`]); `None` for the
+    /// ordinary all-in-DDR engine.
     tier: Option<TierState>,
     /// Inline-compression stage in front of the DDR controller
-    /// ([`DecodeEngine::enable_compression`]); `None` prices every burst
-    /// at logical size.
+    /// ([`EngineSpec::compression`]); `None` prices every burst at
+    /// logical size.
     comp: Option<CompState>,
     /// The paper's theoretical roofline for this model on this bandwidth.
     roofline_tokens_per_s: f64,
@@ -377,70 +384,57 @@ impl DecodeMetrics {
 }
 
 impl DecodeEngine {
-    /// Builds the engine, placing the model image in the 4 GB map.
+    /// Builds the engine over the image `spec` places (a bare context
+    /// length is the paper's one-sequence, all-resident engine — see
+    /// [`EngineSpec`]).
+    ///
+    /// The engine prices exactly its image's own DDR traffic: a shard
+    /// without the embedding table or LM head schedules no bytes for
+    /// them, so the union of the shard engines' traffic equals the
+    /// single-board engine's. A paged image's page-table lookups and
+    /// appends are priced as real metadata bursts.
+    ///
+    /// With a weight tier, only `weight_budget_bytes` of layer weights
+    /// are DDR-resident at a time and the cache starts warm in the
+    /// policy's preferred order (the boot-time load is not decode time).
+    /// Every token is first priced exactly as the flat engine would, then
+    /// the schedule's layer runs are walked against the flash timeline:
+    /// prefetches overlap decode, demand misses and late prefetches stall
+    /// it, and staging writes contend on the shared DDR controller. A
+    /// model too big for the 4 GiB map is placed in a virtual address
+    /// space, and its physical footprint is
+    /// [`DecodeEngine::tier_physical_bytes`] — how a 13B-shape model
+    /// decodes on a 4 GiB board.
+    ///
+    /// With a compression stage, weight, KV and activation bursts are
+    /// priced at their compressed wire size per the configuration's
+    /// per-class ratios, page-map metadata bursts are charged, and the
+    /// decompressor's cut-through stall is folded into the wall (see
+    /// [`zllm_ddr::compress::CompressedController`]). Logical accounting
+    /// is unchanged: `decode.bytes.*` and the report's `bytes` stay at
+    /// logical size, while `comp.bytes.wire` and the `ddr.port0.*`
+    /// counters reflect what crossed the bus. With every ratio at 1.0 the
+    /// stage is a bit-identical pass-through and registers no `comp.*`
+    /// telemetry. Tier staging and synthetic draft traffic bypass the
+    /// stage (they model bulk copies and an off-datapath draft engine,
+    /// not decode streams).
     ///
     /// # Errors
     ///
-    /// Returns the allocation error if the model does not fit.
+    /// Every [`ModelImage::build`] error, and
+    /// [`SpecError::TierBudgetTooSmall`] if the tier cannot hold the
+    /// largest single layer.
     pub fn new(
         accel: AccelConfig,
         model: &ModelConfig,
-        ctx_capacity: usize,
-    ) -> Result<DecodeEngine, AllocError> {
-        DecodeEngine::new_batched(accel, model, ctx_capacity, 1)
-    }
-
-    /// Builds an engine provisioned for up to `max_batch` concurrent
-    /// sequences: the image reserves `max_batch` per-sequence KV cache and
-    /// metadata regions (weights are shared). `new` is this at
-    /// `max_batch = 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model plus the batched KV
-    /// provisioning does not fit the 4 GB map — on LLaMA2-7B-class models
-    /// the KV cache is 256 KiB per token per sequence, so large
-    /// `batch × ctx_capacity` products hit the capacity wall the paper's
-    /// single-user design deliberately avoids.
-    pub fn new_batched(
-        accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        max_batch: usize,
-    ) -> Result<DecodeEngine, AllocError> {
-        let image = ModelImage::build_batched(model, accel.format, ctx_capacity, max_batch)?;
-        Ok(DecodeEngine::with_image(accel, image))
-    }
-
-    /// [`DecodeEngine::new_batched`] over a *paged* KV image: the same
-    /// budget carved into `page_tokens`-token pages with per-sequence
-    /// page tables, whose lookups and appends the schedules price as
-    /// real metadata bursts (see [`ModelImage::build_paged`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model plus the KV pool does
-    /// not fit the 4 GB map.
-    pub fn new_paged(
-        accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        max_batch: usize,
-        page_tokens: usize,
-    ) -> Result<DecodeEngine, AllocError> {
-        let image =
-            ModelImage::build_paged(model, accel.format, ctx_capacity, max_batch, page_tokens)?;
-        Ok(DecodeEngine::with_image(accel, image))
-    }
-
-    /// Builds the engine over an already-placed image — the path the
-    /// cluster layer takes to stand one engine up per pipeline shard
-    /// (see [`ModelImage::build_shard`]). The engine prices exactly the
-    /// image's own DDR traffic: a stage without the embedding table or
-    /// LM head schedules no bytes for them, so the union of the shard
-    /// engines' traffic equals the single-board engine's.
-    pub fn with_image(accel: AccelConfig, image: ModelImage) -> DecodeEngine {
-        let model = image.model().clone();
+        spec: impl Into<EngineSpec>,
+    ) -> Result<DecodeEngine, SpecError> {
+        let spec = spec.into();
+        let image = ModelImage::build(model, accel.format, spec.image())?;
+        let tier = spec
+            .tier
+            .map(|tier| TierState::new(&image, tier))
+            .transpose()?;
         let mut registry = MetricsRegistry::new();
         let mem = MemorySystem::with_counters(
             accel.ddr.clone(),
@@ -448,13 +442,9 @@ impl DecodeEngine {
             accel.mem_lookahead,
             DdrCounters::register(&mut registry, "ddr.port0"),
         );
-        let vpu = Vpu::with_counters(
-            accel.lanes,
-            zllm_fp16::vector::TreePrecision::Fp32,
-            VpuCounters::register(&mut registry, "vpu"),
-        );
+        let vpu = Vpu::new(accel.lanes, zllm_fp16::vector::TreePrecision::Fp32);
         let roofline = memory::weight_roofline_tokens_per_s(
-            &model,
+            image.model(),
             memory::WeightPrecision::Effective(4.0),
             accel
                 .axi
@@ -463,70 +453,23 @@ impl DecodeEngine {
         );
         let metrics = DecodeMetrics::register(&mut registry);
         registry.gauge("decode.roofline_tokens_per_s").set(roofline);
-        DecodeEngine {
+        Ok(DecodeEngine {
             vpu,
             accel,
-            model,
             image,
             mem,
-            tier: None,
-            comp: None,
+            tier,
+            comp: spec.compression.map(|cfg| CompState {
+                ctrl: CompressedController::new(cfg),
+                registered: false,
+            }),
             roofline_tokens_per_s: roofline,
             registry,
             metrics,
             schedules: HashMap::new(),
             ragged_schedules: HashMap::new(),
             draft: None,
-        }
-    }
-
-    /// Builds a **tiered** engine: weights live on the configured flash
-    /// device and only `tier.weight_budget_bytes` of layer weights are
-    /// DDR-resident at a time, managed by the tier's prefetch policy.
-    /// Models too big for the 4 GiB device are placed in an extended
-    /// virtual address space ([`ModelImage::build_tiered`]); the physical
-    /// footprint is then `non-layer bytes + weight budget` (see
-    /// [`DecodeEngine::tier_physical_bytes`]), which is how a 13B-shape
-    /// model decodes on a 4 GiB board.
-    ///
-    /// Every token is first priced exactly as the flat engine would, then
-    /// the schedule's layer runs are walked against the flash timeline:
-    /// prefetches overlap decode, demand misses and late prefetches stall
-    /// it, and staging writes contend on the shared DDR controller.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model exceeds even the largest
-    /// virtual map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight budget cannot hold the largest single layer.
-    pub fn new_tiered(
-        accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        tier: TierConfig,
-    ) -> Result<DecodeEngine, AllocError> {
-        let image = ModelImage::build_tiered(model, accel.format, ctx_capacity)?;
-        Ok(DecodeEngine::with_image_tiered(accel, image, tier))
-    }
-
-    /// [`DecodeEngine::with_image`] plus a weight tier over the image's
-    /// layers. The cache starts warm in the policy's preferred order —
-    /// the boot-time model load is not decode time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight budget cannot hold the largest single layer.
-    pub fn with_image_tiered(
-        accel: AccelConfig,
-        image: ModelImage,
-        tier: TierConfig,
-    ) -> DecodeEngine {
-        let mut engine = DecodeEngine::with_image(accel, image);
-        engine.tier = Some(TierState::new(&engine.image, tier));
-        engine
+        })
     }
 
     /// The tier's activity so far, or `None` on a flat engine.
@@ -541,43 +484,6 @@ impl DecodeEngine {
         self.tier
             .as_ref()
             .map(|t| self.image.non_layer_resident_bytes() + t.cache.budget_bytes())
-    }
-
-    /// Puts the inline-compression stage in front of the DDR controller:
-    /// weight, KV and activation bursts are priced at their compressed
-    /// wire size per the configuration's per-class ratios, page-map
-    /// metadata bursts are charged, and the decompressor's cut-through
-    /// stall is folded into the wall (see
-    /// [`zllm_ddr::compress::CompressedController`]).
-    ///
-    /// Logical accounting is unchanged: `decode.bytes.*` and the report's
-    /// `bytes` stay at logical size, while `comp.bytes.wire` and the
-    /// `ddr.port0.*` counters reflect what actually crossed the bus. With
-    /// every ratio at 1.0 the stage is a bit-identical pass-through and
-    /// registers no `comp.*` telemetry. Tiered staging and synthetic
-    /// draft traffic bypass the stage (they model bulk copies and an
-    /// off-datapath draft engine, not decode streams).
-    pub fn enable_compression(&mut self, cfg: CompressionConfig) {
-        self.comp = Some(CompState {
-            ctrl: CompressedController::new(cfg),
-            registered: false,
-        });
-    }
-
-    /// [`DecodeEngine::new`] with the compression stage enabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation error if the model does not fit.
-    pub fn new_compressed(
-        accel: AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        cfg: CompressionConfig,
-    ) -> Result<DecodeEngine, AllocError> {
-        let mut engine = DecodeEngine::new(accel, model, ctx_capacity)?;
-        engine.enable_compression(cfg);
-        Ok(engine)
     }
 
     /// The compression stage's cumulative `(logical, wire, metadata)`
@@ -621,7 +527,7 @@ impl DecodeEngine {
 
     /// The model configuration.
     pub fn model(&self) -> &ModelConfig {
-        &self.model
+        self.image.model()
     }
 
     /// The accelerator configuration.
@@ -662,7 +568,7 @@ impl DecodeEngine {
     /// # Panics
     ///
     /// Panics if `batch` is zero or exceeds the engine's provisioning
-    /// (`max_batch` passed to [`DecodeEngine::new_batched`]).
+    /// ([`EngineSpec::batch`]).
     pub fn decode_token_batch(&mut self, ctx: usize, batch: usize) -> BatchTokenReport {
         let cached = self.schedule_for(ctx, batch);
         self.price(&cached)
@@ -789,15 +695,12 @@ impl DecodeEngine {
             }
             DraftCost::Synthetic { model } => {
                 if !matches!(&self.draft, Some((m, _)) if m == model) {
-                    let image = ModelImage::build_batched(
-                        model,
-                        self.accel.format,
-                        self.image.ctx_capacity(),
-                        1,
-                    )
-                    .expect("draft model must fit the device");
+                    let image =
+                        ModelImage::build(model, self.accel.format, self.image.ctx_capacity())
+                            .expect("draft model must fit the device");
                     self.draft = Some((model.clone(), image));
                 }
+                let cpb = self.cycles_per_beat_for(1);
                 let DecodeEngine {
                     draft: cache,
                     mem,
@@ -806,10 +709,6 @@ impl DecodeEngine {
                     ..
                 } = self;
                 let (_, image) = cache.as_ref().expect("just built");
-                let wpb = accel.format.weights_per_beat() as u64;
-                let fabric =
-                    (zllm_layout::BEAT_BYTES as u64).div_ceil(accel.axi.bytes_per_cycle().max(1));
-                let cpb = wpb.div_ceil(accel.lanes as u64).max(fabric);
                 let mut total_ns = 0.0;
                 let mut bytes = 0u64;
                 for w in windows {
@@ -874,17 +773,13 @@ impl DecodeEngine {
         cached
     }
 
-    /// PL cycles needed per 512-bit read beat: the slower of the VPU's
-    /// dequantize-and-multiply rate (a beat carries `weights_per_beat`
-    /// codes, the VPU retires `lanes` per cycle) and the AXI fabric's
-    /// delivery rate (`bytes_per_cycle` of the configured port set).
-    fn cycles_per_beat(&self) -> u64 {
-        self.cycles_per_beat_for(1)
-    }
-
-    /// Same, for a beat whose codes multiply against `fanout` activation
-    /// vectors (a shared weight beat in a batch of `fanout`): the VPU
-    /// retires `weights_per_beat × fanout` MACs for it.
+    /// PL cycles needed per 512-bit read beat whose codes multiply
+    /// against `fanout` activation vectors (a shared weight beat in a
+    /// batch of `fanout`): the slower of the VPU's dequantize-and-multiply
+    /// rate (a beat carries `weights_per_beat` codes, so the VPU retires
+    /// `weights_per_beat × fanout` MACs at `lanes` per cycle) and the AXI
+    /// fabric's delivery rate (`bytes_per_cycle` of the configured port
+    /// set).
     fn cycles_per_beat_for(&self, fanout: u32) -> u64 {
         let vpu = (self.accel.format.weights_per_beat() as u64 * fanout as u64)
             .div_ceil(self.accel.lanes as u64);
@@ -1107,12 +1002,11 @@ impl DecodeEngine {
     pub fn prefill_matrix_engine_ns(&self, prompt_len: usize, macs: usize) -> f64 {
         assert!(prompt_len > 0, "empty prompt");
         assert!(macs > 0, "at least one multiplier");
-        let weight_bytes =
-            memory::streamed_weight_bytes(&self.model, memory::WeightPrecision::W4G128);
+        let model = self.model();
+        let weight_bytes = memory::streamed_weight_bytes(model, memory::WeightPrecision::W4G128);
         let mem_ns = weight_bytes / self.accel.axi.bandwidth_gbps();
         let flops = 2.0
-            * (self.model.param_count() as f64
-                - (self.model.vocab_size * self.model.d_model) as f64)
+            * (model.param_count() as f64 - (model.vocab_size * model.d_model) as f64)
             * prompt_len as f64;
         let compute_ns = flops / (2.0 * macs as f64 * self.accel.freq_mhz * 1e6) * 1e9;
         mem_ns.max(compute_ns)
@@ -1145,13 +1039,8 @@ impl DecodeEngine {
         // Memory time scales with bytes at the measured efficiency.
         let mem_ns = single.mem_ns * total_bytes as f64 / single.bytes as f64;
         // Compute: `batch` activations per weight beat, `lanes` MACs/cycle.
-        let beats = single.vpu_cycles / self.cycles_per_beat();
-        let wpb = self.accel.format.weights_per_beat() as u64;
-        let fabric =
-            (zllm_layout::BEAT_BYTES as u64).div_ceil(self.accel.axi.bytes_per_cycle().max(1));
-        let cpb = (wpb * batch as u64)
-            .div_ceil(self.accel.lanes as u64)
-            .max(fabric);
+        let beats = single.vpu_cycles / self.cycles_per_beat_for(1);
+        let cpb = self.cycles_per_beat_for(batch as u32);
         let compute_ns = self.accel.cycles_to_ns(beats * cpb + single.bubble_cycles);
         let exposed_ns = self
             .accel
@@ -1201,6 +1090,9 @@ mod tests {
     use super::*;
     use crate::config::PipelineMode;
     use crate::schedule::token_schedule;
+    use crate::spec::ImageSpec;
+    use crate::tier::TierConfig;
+    use zllm_ddr::compress::{CompressionConfig, StreamRatio};
 
     fn small_engine(mode: PipelineMode) -> DecodeEngine {
         let accel = match mode {
@@ -1208,6 +1100,35 @@ mod tests {
             PipelineMode::Coarse => AccelConfig::kv260_coarse(),
         };
         DecodeEngine::new(accel, &ModelConfig::test_small(), 32).expect("test model fits")
+    }
+
+    /// The small test engine provisioned for `batch` sequences of 32
+    /// tokens.
+    fn batched_engine(batch: usize) -> DecodeEngine {
+        let spec = EngineSpec {
+            batch,
+            ..EngineSpec::from(32)
+        };
+        DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::test_small(), spec)
+            .expect("test model fits")
+    }
+
+    fn compressed_engine(compression: CompressionConfig) -> DecodeEngine {
+        let spec = EngineSpec {
+            compression: Some(compression),
+            ..EngineSpec::from(32)
+        };
+        DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::test_small(), spec)
+            .expect("test model fits")
+    }
+
+    /// Weight, KV and activation ratios of 2.0, 1.2 and 1.1.
+    fn lossy_ratios() -> CompressionConfig {
+        CompressionConfig::with_ratios(
+            StreamRatio::from_ratio(2.0),
+            StreamRatio::from_ratio(1.2),
+            StreamRatio::from_ratio(1.1),
+        )
     }
 
     #[test]
@@ -1333,16 +1254,16 @@ mod tests {
         let mut narrow = AccelConfig::kv260();
         narrow.lanes = 64;
         let engine = DecodeEngine::new(narrow, &ModelConfig::test_small(), 32).expect("fits");
-        assert_eq!(engine.cycles_per_beat(), 2);
+        assert_eq!(engine.cycles_per_beat_for(1), 2);
         // 2 AXI ports: two cycles to deliver 64 bytes.
         let mut half_ports = AccelConfig::kv260();
         half_ports.axi.ports = 2;
         let engine = DecodeEngine::new(half_ports, &ModelConfig::test_small(), 32).expect("fits");
-        assert_eq!(engine.cycles_per_beat(), 2);
+        assert_eq!(engine.cycles_per_beat_for(1), 2);
         // The default is perfectly balanced at 1.
         let engine =
             DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::test_small(), 32).expect("fits");
-        assert_eq!(engine.cycles_per_beat(), 1);
+        assert_eq!(engine.cycles_per_beat_for(1), 1);
     }
 
     #[test]
@@ -1397,11 +1318,13 @@ mod tests {
                 "schedule_aware" => TierConfig::schedule_aware(flash, u64::MAX / 2),
                 _ => TierConfig::blind_lru(flash, u64::MAX / 2),
             };
-            let mut tiered = DecodeEngine::new_tiered(
+            let mut tiered = DecodeEngine::new(
                 AccelConfig::kv260(),
                 &ModelConfig::test_small(),
-                32,
-                tier,
+                EngineSpec {
+                    tier: Some(tier),
+                    ..EngineSpec::from(32)
+                },
             )
             .expect("test model fits without a virtual map");
             assert!(!tiered.image().is_tiered_virtual());
@@ -1439,8 +1362,7 @@ mod tests {
         // scenario enter the perf baseline without perturbing any
         // pre-existing key.
         let mut plain = small_engine(PipelineMode::Fused);
-        let mut comp = small_engine(PipelineMode::Fused);
-        comp.enable_compression(zllm_ddr::compress::CompressionConfig::identity());
+        let mut comp = compressed_engine(CompressionConfig::identity());
         for ctx in [0, 4, 15, 31] {
             let p = plain.decode_token(ctx);
             let c = comp.decode_token(ctx);
@@ -1465,12 +1387,7 @@ mod tests {
     #[test]
     fn compression_shrinks_wire_traffic_and_registers_metrics() {
         let mut plain = small_engine(PipelineMode::Fused);
-        let mut comp = small_engine(PipelineMode::Fused);
-        comp.enable_compression(zllm_ddr::compress::CompressionConfig::with_ratios(
-            zllm_ddr::compress::StreamRatio::from_ratio(2.0),
-            zllm_ddr::compress::StreamRatio::from_ratio(1.2),
-            zllm_ddr::compress::StreamRatio::from_ratio(1.1),
-        ));
+        let mut comp = compressed_engine(lossy_ratios());
         // `comp.*` appears only once compressed traffic flows.
         assert!(!comp
             .metrics_snapshot()
@@ -1505,8 +1422,7 @@ mod tests {
         // committed perf baseline valid.
         let mut single = small_engine(PipelineMode::Fused);
         let mut one =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 1)
-                .expect("fits");
+            DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::test_small(), 32).expect("fits");
         for ctx in [0, 4, 15, 31] {
             let s = single.decode_token(ctx);
             let b = one.decode_token_batch(ctx, 1);
@@ -1532,9 +1448,7 @@ mod tests {
         // different addresses (row locality may shift), but everything
         // the schedule determines is still identical at B = 1 — and no
         // decode.batch.* gauges leak into the snapshot.
-        let mut wide =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut wide = batched_engine(4);
         for ctx in [0, 4, 15, 31] {
             let b = wide.decode_token_batch(ctx, 1);
             let s = single.decode_token(ctx);
@@ -1555,9 +1469,7 @@ mod tests {
 
     #[test]
     fn batched_step_amortizes_weights_and_grows_kv_share() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 8)
-                .expect("fits");
+        let mut engine = batched_engine(8);
         let b1 = engine.decode_token_batch(16, 1);
         let b4 = engine.decode_token_batch(16, 4);
         let b8 = engine.decode_token_batch(16, 8);
@@ -1581,9 +1493,7 @@ mod tests {
 
     #[test]
     fn batched_compute_scales_on_shared_beats_only() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = batched_engine(4);
         let b1 = engine.decode_token_batch(16, 1);
         let b4 = engine.decode_token_batch(16, 4);
         // Shared weight beats cost 4x; per-sequence KV beats are 4x as
@@ -1594,9 +1504,7 @@ mod tests {
 
     #[test]
     fn schedule_cache_keys_on_ctx_and_batch() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = batched_engine(4);
         engine.decode_token_batch(8, 1);
         engine.decode_token_batch(8, 4);
         engine.decode_token_batch(8, 4);
@@ -1606,9 +1514,7 @@ mod tests {
 
     #[test]
     fn uniform_ragged_step_prices_like_lockstep_and_shares_its_cache() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = batched_engine(4);
         let lock = engine.decode_token_batch(8, 4);
         let ragged = engine.decode_token_ragged(&[(0, 8), (1, 8), (2, 8), (3, 8)]);
         assert_eq!(lock.bytes, ragged.bytes);
@@ -1620,9 +1526,7 @@ mod tests {
 
     #[test]
     fn ragged_step_prices_each_sequence_at_its_own_context() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = batched_engine(4);
         let ragged = engine.decode_token_ragged(&[(0, 2), (1, 30), (3, 0)]);
         assert_eq!(ragged.batch, 3);
         assert_eq!(ragged.ctx, 30, "reported ctx is the longest sequence's");
@@ -1651,9 +1555,7 @@ mod tests {
 
     #[test]
     fn ragged_cache_telemetry_counts_hits_and_misses() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = batched_engine(4);
         // Uniform steps route to the (ctx, batch) cache and must not
         // create the ragged-cache counters — the baseline key set.
         engine.decode_token_batch(8, 4);
@@ -1711,7 +1613,18 @@ mod tests {
         // Paged ragged decode (KV reads and writes plus page-table
         // lookups and appends) around a chunked prefill.
         assert_ddr_fast_path_exact(
-            || DecodeEngine::new_paged(accel.clone(), &model, 64, 4, 16).expect("fits"),
+            || {
+                DecodeEngine::new(
+                    accel.clone(),
+                    &model,
+                    EngineSpec {
+                        batch: 4,
+                        page_tokens: Some(16),
+                        ..EngineSpec::from(64)
+                    },
+                )
+                .expect("fits")
+            },
             |e| {
                 vec![
                     e.prefill_chunked(&[crate::schedule::PrefillChunk {
@@ -1727,15 +1640,13 @@ mod tests {
         // Compressed weight, KV and activation streams.
         assert_ddr_fast_path_exact(
             || {
-                DecodeEngine::new_compressed(
+                DecodeEngine::new(
                     accel.clone(),
                     &model,
-                    64,
-                    zllm_ddr::compress::CompressionConfig::with_ratios(
-                        zllm_ddr::compress::StreamRatio::from_ratio(2.0),
-                        zllm_ddr::compress::StreamRatio::from_ratio(1.2),
-                        zllm_ddr::compress::StreamRatio::from_ratio(1.1),
-                    ),
+                    EngineSpec {
+                        compression: Some(lossy_ratios()),
+                        ..EngineSpec::from(64)
+                    },
                 )
                 .expect("fits")
             },
@@ -1743,7 +1654,15 @@ mod tests {
         );
         // Tiered weights: a budget of two layers forces flash staging
         // writes onto the shared controller between weight reads.
-        let image = ModelImage::build_tiered(&model, accel.format, 64).expect("fits");
+        let image = ModelImage::build(
+            &model,
+            accel.format,
+            ImageSpec {
+                tiered: true,
+                ..ImageSpec::from(64)
+            },
+        )
+        .expect("fits");
         let layer = (0..model.n_layers)
             .map(|l| image.layer_weight_bytes(l))
             .max()
@@ -1752,7 +1671,15 @@ mod tests {
             || {
                 let flash = zllm_ddr::FlashConfig::emmc_hs400();
                 let tier = TierConfig::schedule_aware(flash, 2 * layer);
-                DecodeEngine::new_tiered(accel.clone(), &model, 64, tier).expect("fits")
+                DecodeEngine::new(
+                    accel.clone(),
+                    &model,
+                    EngineSpec {
+                        tier: Some(tier),
+                        ..EngineSpec::from(64)
+                    },
+                )
+                .expect("fits")
             },
             |e| {
                 let reports = (0..3).map(|c| e.decode_token_batch(8 + c, 1)).collect();
@@ -1764,12 +1691,17 @@ mod tests {
 
     #[test]
     fn paged_engine_prices_page_tables_and_contiguous_stays_pristine() {
-        let mut flat =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
-        let mut paged =
-            DecodeEngine::new_paged(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4, 16)
-                .expect("fits");
+        let mut flat = batched_engine(4);
+        let mut paged = DecodeEngine::new(
+            AccelConfig::kv260(),
+            &ModelConfig::test_small(),
+            EngineSpec {
+                batch: 4,
+                page_tokens: Some(16),
+                ..EngineSpec::from(32)
+            },
+        )
+        .expect("fits");
         assert!(paged.image().is_paged());
         let f = flat.decode_token_ragged(&[(0, 5), (1, 17)]);
         let p = paged.decode_token_ragged(&[(0, 5), (1, 17)]);
@@ -1787,9 +1719,7 @@ mod tests {
 
     #[test]
     fn chunked_prefill_beats_token_by_token_bytes() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 2)
-                .expect("fits");
+        let mut engine = batched_engine(2);
         let chunk = engine.prefill_chunked(&[crate::schedule::PrefillChunk {
             slot: 0,
             start: 0,
@@ -1806,9 +1736,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "duplicate slot in ragged schedule")]
     fn ragged_duplicate_slot_panics() {
-        let mut engine =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 4)
-                .expect("fits");
+        let mut engine = batched_engine(4);
         let _ = engine.decode_token_ragged(&[(1, 4), (1, 6)]);
     }
 
@@ -1853,9 +1781,7 @@ mod tests {
     fn exact_batched_pricing_tracks_the_analytic_estimate() {
         let mut est =
             DecodeEngine::new(AccelConfig::kv260(), &ModelConfig::test_small(), 32).expect("fits");
-        let mut exact =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 8)
-                .expect("fits");
+        let mut exact = batched_engine(8);
         for batch in [2usize, 4, 8] {
             let estimate = est.decode_batch_estimate(16, batch);
             let measured = exact.decode_token_batch(16, batch).tokens_per_s;
@@ -1865,6 +1791,73 @@ mod tests {
                 "B={batch}: exact {measured} vs estimate {estimate}"
             );
         }
+    }
+
+    #[test]
+    fn every_scheduled_op_kind_has_its_stream_class() {
+        use crate::schedule::{
+            chunked_prefill_schedule, ragged_token_schedule, speculative_verify_schedule,
+        };
+        let model = ModelConfig::test_small();
+        let format = AccelConfig::kv260().format;
+        let flat = ModelImage::build(&model, format, 64).expect("fits");
+        let spec = ImageSpec {
+            batch: 2,
+            page_tokens: Some(16),
+            ..ImageSpec::from(64)
+        };
+        let paged = ModelImage::build(&model, format, spec).expect("fits");
+        let mode = PipelineMode::Fused;
+        let chunk = PrefillChunk {
+            slot: 1,
+            start: 0,
+            len: 20,
+        };
+        // Eight drafts from ctx 10 with one accepted: the rejected tail
+        // crosses the 16-token pack window and the first page boundary.
+        let window = SpecWindow {
+            slot: 0,
+            ctx: 10,
+            drafted: 8,
+            accepted: 1,
+        };
+        let schedules = [
+            token_schedule(&flat, 15, mode),
+            ragged_token_schedule(&paged, &[(0, 15), (1, 16)], mode),
+            chunked_prefill_schedule(&paged, &[chunk], mode),
+            speculative_verify_schedule(&paged, &[window], mode),
+        ];
+        let expected = [
+            ("qkv", StreamClass::Weight),
+            ("wo", StreamClass::Weight),
+            ("mlp", StreamClass::Weight),
+            ("lm_head", StreamClass::Weight),
+            ("kv_read", StreamClass::Kv),
+            ("kv_write", StreamClass::Kv),
+            ("embedding", StreamClass::Activation),
+            ("kv_meta_flush", StreamClass::Meta),
+            ("kv_meta_rollback", StreamClass::Meta),
+            ("kv_pt_read", StreamClass::Meta),
+            ("kv_pt_write", StreamClass::Meta),
+            ("kv_pt_rollback", StreamClass::Meta),
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for op in schedules.iter().flat_map(|s| &s.ops) {
+            let kind = op.label.split_once('.').map_or(&*op.label, |(_, k)| k);
+            let (_, class) = expected
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .unwrap_or_else(|| panic!("unexpected op kind {kind:?}"));
+            assert_eq!(stream_class_of(kind), *class, "{kind}");
+            seen.insert(kind.to_owned());
+        }
+        assert_eq!(seen.len(), expected.len(), "kinds covered: {seen:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "op kind \"kv_swap\" has no compression stream class")]
+    fn unknown_op_kind_has_no_stream_class() {
+        let _ = stream_class_of("kv_swap");
     }
 
     #[test]
@@ -2023,22 +2016,10 @@ mod tests {
             /// drift between steps, so wall time is excluded).
             #[test]
             fn cache_hit_matches_rebuild(ctx in 0usize..32, batch in 1usize..=4) {
-                let mut warm = DecodeEngine::new_batched(
-                    AccelConfig::kv260(),
-                    &ModelConfig::test_small(),
-                    32,
-                    4,
-                )
-                .expect("fits");
+                let mut warm = batched_engine(4);
                 let rebuilt = warm.decode_token_batch(ctx, batch); // miss
                 let hit = warm.decode_token_batch(ctx, batch); // hit
-                let mut fresh = DecodeEngine::new_batched(
-                    AccelConfig::kv260(),
-                    &ModelConfig::test_small(),
-                    32,
-                    4,
-                )
-                .expect("fits");
+                let mut fresh = batched_engine(4);
                 let independent = fresh.decode_token_batch(ctx, batch); // rebuild
                 for other in [&hit, &independent] {
                     prop_assert_eq!(rebuilt.bytes, other.bytes);

@@ -1,7 +1,7 @@
 //! The pipeline-parallel sharded decode engine.
 //!
-//! One [`DecodeEngine`] per stage, each over a
-//! [`ModelImage::build_shard`] image holding only its own layer range —
+//! One [`DecodeEngine`] per stage, each over a shard image
+//! ([`EngineSpec::layers`]) holding only its own layer range —
 //! so each simulated board pays DDR traffic for exactly its slice
 //! (embedding on the first stage, LM head on the last, every layer's
 //! weights/KV/metadata on its owner), and the union of the stages'
@@ -11,10 +11,8 @@
 //! under `cluster.bytes.*`.
 
 use crate::cluster::interconnect::InterconnectConfig;
-use zllm_accel::image::ModelImage;
 use zllm_accel::telemetry::{Counter, Gauge, MetricsRegistry, Snapshot};
-use zllm_accel::{split_layers, AccelConfig, DecodeEngine, PrefillChunk};
-use zllm_layout::addr_map::AllocError;
+use zllm_accel::{split_layers, AccelConfig, DecodeEngine, EngineSpec, PrefillChunk, SpecError};
 use zllm_model::ModelConfig;
 
 /// The priced outcome of one cluster step (decode or prefill).
@@ -61,88 +59,61 @@ pub struct ShardedEngine {
 
 impl ShardedEngine {
     /// Builds `depth` stage engines over near-even layer-range shards of
-    /// `model` (see [`split_layers`]), each provisioned for `slots`
-    /// concurrent sequences of `ctx_capacity` tokens.
-    ///
-    /// # Errors
-    ///
-    /// Returns the allocation failure if any shard misses the 4 GB
-    /// per-board map (it fits whenever the full model does).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero or exceeds the model's layer count, or
-    /// `slots` is zero.
-    pub fn new(
-        accel: &AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        slots: usize,
-        depth: usize,
-        interconnect: InterconnectConfig,
-    ) -> Result<ShardedEngine, AllocError> {
-        ShardedEngine::build(accel, model, ctx_capacity, slots, depth, interconnect, None)
-    }
-
-    /// [`ShardedEngine::new`] with every stage's KV space paged into
-    /// `page_tokens`-token pages: each board fragments its own KV reads
-    /// along page boundaries and prices its own page-table bursts, so
-    /// the pipeline's admission can charge actual growth at the
+    /// `model` (see [`split_layers`]), each provisioned as `spec` says —
+    /// `spec.batch` concurrent sequences of `spec.ctx_capacity` tokens,
+    /// paged or contiguous, compressed or not — on its own layers only.
+    /// Paged stages fragment their own KV reads and price their own
+    /// page-table bursts, so admission can charge actual growth at the
     /// bottleneck stage.
     ///
     /// # Errors
     ///
-    /// Returns the allocation failure if any shard misses the 4 GB
-    /// per-board map.
-    pub fn new_paged(
+    /// Every [`DecodeEngine::new`] error for any stage (a shard fits its
+    /// 4 GB board whenever the full model fits one), and
+    /// [`SpecError::Unsupported`] if `spec` names its own layer range
+    /// (the pipeline splits the layers) or asks for a weight tier (one
+    /// tier configuration and its policy state cannot be shared across
+    /// boards).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is zero or exceeds the model's layer count.
+    pub fn new(
         accel: &AccelConfig,
         model: &ModelConfig,
-        ctx_capacity: usize,
-        slots: usize,
+        spec: impl Into<EngineSpec>,
         depth: usize,
         interconnect: InterconnectConfig,
-        page_tokens: usize,
-    ) -> Result<ShardedEngine, AllocError> {
-        ShardedEngine::build(
-            accel,
-            model,
-            ctx_capacity,
-            slots,
-            depth,
-            interconnect,
-            Some(page_tokens),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        accel: &AccelConfig,
-        model: &ModelConfig,
-        ctx_capacity: usize,
-        slots: usize,
-        depth: usize,
-        interconnect: InterconnectConfig,
-        page_tokens: Option<usize>,
-    ) -> Result<ShardedEngine, AllocError> {
+    ) -> Result<ShardedEngine, SpecError> {
+        let spec = spec.into();
+        if spec.layers.is_some() {
+            return Err(SpecError::Unsupported {
+                feature: "layers",
+                with: "a sharded pipeline",
+            });
+        }
+        if spec.tier.is_some() {
+            return Err(SpecError::Unsupported {
+                feature: "tier",
+                with: "a sharded pipeline",
+            });
+        }
         let mut stages = Vec::with_capacity(depth);
         for range in split_layers(model.n_layers, depth) {
-            let image = match page_tokens {
-                Some(pt) => ModelImage::build_shard_paged(
-                    model,
-                    accel.format,
-                    ctx_capacity,
-                    slots,
-                    range,
-                    pt,
-                )?,
-                None => ModelImage::build_shard(model, accel.format, ctx_capacity, slots, range)?,
+            let stage = EngineSpec {
+                ctx_capacity: spec.ctx_capacity,
+                batch: spec.batch,
+                page_tokens: spec.page_tokens,
+                layers: Some(range),
+                tier: None,
+                compression: spec.compression,
             };
-            stages.push(DecodeEngine::with_image(accel.clone(), image));
+            stages.push(DecodeEngine::new(accel.clone(), model, stage)?);
         }
         let bottleneck = stages
             .iter()
             .enumerate()
-            .max_by_key(|(_, e)| e.image().kv_request_bytes(ctx_capacity))
+            .max_by_key(|(_, e)| e.image().kv_request_bytes(spec.ctx_capacity))
             .map(|(i, _)| i)
             .expect("at least one stage");
         let mut registry = MetricsRegistry::new();
@@ -334,8 +305,10 @@ mod tests {
         ShardedEngine::new(
             &AccelConfig::kv260(),
             &ModelConfig::test_small(),
-            32,
-            2,
+            EngineSpec {
+                batch: 2,
+                ..EngineSpec::from(32)
+            },
             depth,
             InterconnectConfig::aurora_x4(),
         )
@@ -345,9 +318,15 @@ mod tests {
     #[test]
     fn single_stage_is_the_single_board_engine() {
         let mut sharded = engine(1);
-        let mut single =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 2)
-                .expect("fits");
+        let mut single = DecodeEngine::new(
+            AccelConfig::kv260(),
+            &ModelConfig::test_small(),
+            EngineSpec {
+                batch: 2,
+                ..EngineSpec::from(32)
+            },
+        )
+        .expect("fits");
         let slots = [(0usize, 4usize), (1, 9)];
         let step = sharded.decode_step(&slots);
         let want = single.decode_token_ragged(&slots).wall_ns;
@@ -391,9 +370,15 @@ mod tests {
     #[test]
     fn stage_budgets_partition_the_single_board_budget() {
         let sharded = engine(2);
-        let single =
-            DecodeEngine::new_batched(AccelConfig::kv260(), &ModelConfig::test_small(), 32, 2)
-                .expect("fits");
+        let single = DecodeEngine::new(
+            AccelConfig::kv260(),
+            &ModelConfig::test_small(),
+            EngineSpec {
+                batch: 2,
+                ..EngineSpec::from(32)
+            },
+        )
+        .expect("fits");
         let total: u64 = (0..sharded.depth())
             .map(|s| sharded.stage_kv_budget_bytes(s))
             .sum();

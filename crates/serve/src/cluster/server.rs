@@ -23,8 +23,7 @@ use crate::cluster::interconnect::InterconnectConfig;
 use crate::cluster::router::{PipelineLoad, PlacementPolicy};
 use crate::request::{DropReason, Request, RequestOutcome};
 use crate::server::{newest_lower_class, percentile, Active, PagedConfig};
-use zllm_accel::{AccelConfig, PrefillChunk};
-use zllm_layout::addr_map::AllocError;
+use zllm_accel::{AccelConfig, EngineSpec, PrefillChunk, SpecError};
 use zllm_layout::kv_page::PagedKvAllocator;
 use zllm_model::ModelConfig;
 
@@ -237,18 +236,19 @@ impl ClusterServer {
     ///
     /// # Errors
     ///
-    /// Returns the allocation error when any stage's shard does not fit
-    /// its board's DDR map.
+    /// Returns the [`ShardedEngine::new`] error — typically the
+    /// allocation failure when a stage's shard does not fit its board's
+    /// DDR map, or [`SpecError::ZeroBatch`] on zero slots.
     ///
     /// # Panics
     ///
-    /// Panics on a zero-pipeline or zero-slot geometry, a depth outside
+    /// Panics on a zero-pipeline geometry, a depth outside
     /// `1..=n_layers`, or a zero prefill chunk.
     pub fn new(
         accel: &AccelConfig,
         model: &ModelConfig,
         cfg: ClusterConfig,
-    ) -> Result<ClusterServer, AllocError> {
+    ) -> Result<ClusterServer, SpecError> {
         assert!(cfg.pipelines > 0, "at least one pipeline required");
         assert!(cfg.prefill_chunk > 0, "prefill chunk must cover a token");
         assert!(cfg.deadline_scale > 0.0, "deadline scale must be positive");
@@ -260,25 +260,12 @@ impl ClusterServer {
         }
         let mut pipes = Vec::with_capacity(cfg.pipelines);
         for _ in 0..cfg.pipelines {
-            let engine = match &cfg.paged {
-                Some(p) => ShardedEngine::new_paged(
-                    accel,
-                    model,
-                    cfg.ctx_capacity,
-                    cfg.slots,
-                    cfg.depth,
-                    cfg.interconnect,
-                    p.page_tokens,
-                )?,
-                None => ShardedEngine::new(
-                    accel,
-                    model,
-                    cfg.ctx_capacity,
-                    cfg.slots,
-                    cfg.depth,
-                    cfg.interconnect,
-                )?,
+            let spec = EngineSpec {
+                batch: cfg.slots,
+                page_tokens: cfg.paged.as_ref().map(|p| p.page_tokens),
+                ..EngineSpec::from(cfg.ctx_capacity)
             };
+            let engine = ShardedEngine::new(accel, model, spec, cfg.depth, cfg.interconnect)?;
             let admission = AdmissionController::new(AdmissionConfig {
                 slots: cfg.slots,
                 budget_bytes: engine.kv_budget_bytes(),

@@ -20,8 +20,9 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, Rejection};
 use crate::request::{DropReason, Request, RequestOutcome};
-use zllm_accel::{AccelConfig, DecodeEngine, DraftCost, PrefillChunk, SpecWindow};
-use zllm_layout::addr_map::AllocError;
+use zllm_accel::{
+    AccelConfig, DecodeEngine, DraftCost, EngineSpec, PrefillChunk, SpecError, SpecWindow,
+};
 use zllm_layout::kv_page::PagedKvAllocator;
 use zllm_model::ModelConfig;
 use zllm_rng::StdRng;
@@ -358,14 +359,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the allocation error when the weights plus the
-    /// provisioned KV slots do not fit the accelerator's DDR map.
+    /// Returns the [`DecodeEngine::new`] error — typically the
+    /// allocation failure when the weights plus the provisioned KV slots
+    /// do not fit the accelerator's DDR map.
     pub fn new(
         accel: AccelConfig,
         model: &ModelConfig,
         cfg: ServerConfig,
-    ) -> Result<Server, AllocError> {
-        assert!(cfg.slots > 0, "at least one slot required");
+    ) -> Result<Server, SpecError> {
         assert!(
             cfg.prefill_chunk > 0,
             "prefill chunk must cover at least one token"
@@ -386,20 +387,22 @@ impl Server {
                 "draft cost must be nonnegative"
             );
         }
-        let engine = match &cfg.paged {
-            Some(p) => {
-                assert!(
-                    cfg.mode == BatchingMode::Continuous,
-                    "paged serving requires continuous batching"
-                );
-                assert!(
-                    p.watermark > 0.0 && p.watermark <= 1.0,
-                    "watermark must be in (0, 1]"
-                );
-                DecodeEngine::new_paged(accel, model, cfg.ctx_capacity, cfg.slots, p.page_tokens)?
-            }
-            None => DecodeEngine::new_batched(accel, model, cfg.ctx_capacity, cfg.slots)?,
+        if let Some(p) = &cfg.paged {
+            assert!(
+                cfg.mode == BatchingMode::Continuous,
+                "paged serving requires continuous batching"
+            );
+            assert!(
+                p.watermark > 0.0 && p.watermark <= 1.0,
+                "watermark must be in (0, 1]"
+            );
+        }
+        let spec = EngineSpec {
+            batch: cfg.slots,
+            page_tokens: cfg.paged.as_ref().map(|p| p.page_tokens),
+            ..EngineSpec::from(cfg.ctx_capacity)
         };
+        let engine = DecodeEngine::new(accel, model, spec)?;
         let budget_bytes = cfg
             .kv_budget_bytes
             .unwrap_or_else(|| engine.image().kv_budget_bytes());

@@ -6,7 +6,7 @@
 //! cargo run --release --example capacity_planner
 //! ```
 
-use zllm::accel::image::ModelImage;
+use zllm::accel::{ModelImage, SpecError};
 use zllm::layout::weight::WeightFormat;
 use zllm::model::memory::{weight_roofline_tokens_per_s, WeightPrecision};
 use zllm::model::ModelConfig;
@@ -72,12 +72,13 @@ fn main() {
                     roofline
                 );
             }
-            Err(_) => {
+            Err(SpecError::Alloc(_)) => {
                 println!(
                     "{:<16} {:>7.2}B {:>10} {:>10} {:>12} {:>8.1}/s",
                     cfg.name, params, "TOO BIG", "-", "-", roofline
                 );
             }
+            Err(e) => println!("{:<16} not placeable: {e}", cfg.name),
         }
     }
     println!("\nLLaMA2-7B is the largest member of the family that places — the");

@@ -3,7 +3,7 @@
 //! explicitly, and replay request traces bit-identically.
 
 use zllm::accel::image::ModelImage;
-use zllm::accel::{split_layers, AccelConfig, DecodeEngine};
+use zllm::accel::{split_layers, AccelConfig, DecodeEngine, EngineSpec, ImageSpec};
 use zllm::model::ModelConfig;
 use zllm::serve::cluster::{ClusterConfig, ClusterServer, InterconnectConfig, ShardedEngine};
 use zllm::serve::{generate, ArrivalModel, PlacementPolicy, Request, TrafficConfig};
@@ -28,11 +28,19 @@ fn shard_images_partition_the_7b_board() {
     // none is dropped.
     let cfg = ModelConfig::llama2_7b();
     let format = zllm::layout::weight::WeightFormat::kv260();
-    let full = ModelImage::build_batched(&cfg, format, 1024, 1).expect("one board fits");
+    let full = ModelImage::build(&cfg, format, 1024).expect("one board fits");
     let mut weight_total = 0;
     let mut kv_total = 0;
     for range in split_layers(cfg.n_layers, 4) {
-        let shard = ModelImage::build_shard(&cfg, format, 1024, 1, range).expect("shard fits");
+        let shard = ModelImage::build(
+            &cfg,
+            format,
+            ImageSpec {
+                layers: Some(range),
+                ..ImageSpec::from(1024)
+            },
+        )
+        .expect("shard fits");
         assert!(shard.occupancy() < full.occupancy());
         weight_total += shard.weight_stream_bytes();
         kv_total += shard.kv_budget_bytes();
@@ -49,12 +57,15 @@ fn sharded_engine_conserves_ddr_traffic_and_prices_hops() {
         n_layers: 4,
         ..ModelConfig::test_small()
     };
-    let single = DecodeEngine::new_batched(AccelConfig::kv260(), &model, 64, 2).expect("fits");
+    let spec = || EngineSpec {
+        batch: 2,
+        ..EngineSpec::from(64)
+    };
+    let single = DecodeEngine::new(AccelConfig::kv260(), &model, spec()).expect("fits");
     let mut fleet = ShardedEngine::new(
         &AccelConfig::kv260(),
         &model,
-        64,
-        2,
+        spec(),
         4,
         InterconnectConfig::aurora_x4(),
     )

@@ -5,7 +5,8 @@
 use std::sync::Mutex;
 use zllm::accel::converter::{convert, PtqMethod};
 use zllm::accel::{
-    greedy_accept, AccelBatchDecoder, AccelConfig, AccelDecoder, DecodeEngine, ShardedBatchDecoder,
+    greedy_accept, AccelBatchDecoder, AccelConfig, AccelDecoder, DecodeEngine, EngineSpec,
+    ShardedBatchDecoder,
 };
 use zllm::fp16::set_fast_kernels;
 use zllm::model::calibration::capture;
@@ -466,7 +467,15 @@ fn compressed_decode_is_bit_identical_to_compression_off() {
         set_fast_kernels(fast);
         set_max_threads(threads);
         let mut engine = if compressed {
-            DecodeEngine::new_compressed(AccelConfig::kv260(), &cfg, 32, comp_cfg).expect("fits")
+            DecodeEngine::new(
+                AccelConfig::kv260(),
+                &cfg,
+                EngineSpec {
+                    compression: Some(comp_cfg),
+                    ..EngineSpec::from(32)
+                },
+            )
+            .expect("fits")
         } else {
             DecodeEngine::new(AccelConfig::kv260(), &cfg, 32).expect("fits")
         };
